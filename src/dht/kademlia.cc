@@ -45,6 +45,22 @@ StatusOr<uint64_t> KademliaNetwork::ResponsibleNode(uint64_t key) const {
   return ClosestWithin(lo, half_size, key);
 }
 
+void KademliaNetwork::MigrateOnJoin(uint64_t new_node_id) {
+  NodeStore& joiner = nodes_.at(new_node_id);
+  for (auto& [id, store] : nodes_) {
+    if (id == new_node_id) continue;
+    const uint64_t holder = id;
+    store.MigrateIf(
+        [&](uint64_t dht_key) {
+          const uint64_t key = space_.Clamp(dht_key);
+          if ((key ^ new_node_id) >= (key ^ holder)) return false;
+          auto responsible = ResponsibleNode(key);
+          return responsible.ok() && responsible.value() == new_node_id;
+        },
+        joiner);
+  }
+}
+
 KademliaNetwork::BucketTable& KademliaNetwork::TableAt(
     size_t node_idx) const {
   if (tables_.size() < ring().size()) tables_.resize(ring().size());

@@ -56,6 +56,13 @@ class KademliaNetwork : public DhtNetwork {
   size_t NextHopIndex(size_t current_idx, uint64_t current_id,
                       uint64_t key) const override;
 
+  /// The generic join rule with an exact XOR prefilter: a record held
+  /// at node H under key k can move to the joiner J only if
+  /// (k ^ J) < (k ^ H), since J must be XOR-closer to k than every other
+  /// node, H included. ResponsibleNode runs only for records that pass,
+  /// so the moved set is the generic rule's.
+  void MigrateOnJoin(uint64_t new_node_id) override;
+
   /// O(1) invalidation: bumping the epoch marks every cached bucket
   /// table stale without touching it (Chord's finger-table scheme).
   void OnMembershipChange() override { ++epoch_; }

@@ -47,7 +47,10 @@ size_t TryWrite(int fd, const std::string& buf, size_t pos) {
   return written;
 }
 
-// Nonblocking drain of everything currently readable into out.
+// Nonblocking drain of everything currently readable into out. A read
+// shorter than the chunk has emptied the socket (one thread does all the
+// writing, so nothing arrives meanwhile); only a full chunk costs
+// another read.
 bool TryRead(int fd, std::string& out) {
   char chunk[16384];
   bool any = false;
@@ -56,6 +59,7 @@ bool TryRead(int fd, std::string& out) {
     if (n > 0) {
       out.append(chunk, static_cast<size_t>(n));
       any = true;
+      if (static_cast<size_t>(n) < sizeof(chunk)) return true;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;

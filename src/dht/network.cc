@@ -109,16 +109,15 @@ Status DhtNetwork::RemoveNode(uint64_t node_id) {
   if (it == nodes_.end()) return Status::NotFound("unknown node");
   // Graceful leave: re-home each live record at its new responsible node
   // (for Chord that is always the successor; for Kademlia records may
-  // scatter over several neighbours). Map nodes are spliced, not copied.
-  NodeStore::RecordMap pending = it->second.TakeRecords(now_);
+  // scatter over several neighbours).
+  std::vector<StoreEntry> pending = it->second.TakeRecords(now_);
   nodes_.erase(it);
   RingErase(space_.Clamp(node_id));
   OnMembershipChange();
-  while (!pending.empty()) {
-    auto nh = pending.extract(pending.begin());
-    auto responsible = ResponsibleNode(nh.mapped().dht_key);
+  for (StoreEntry& entry : pending) {
+    auto responsible = ResponsibleNode(entry.record.dht_key);
     if (responsible.ok()) {
-      nodes_.at(responsible.value()).Adopt(std::move(nh));
+      nodes_.at(responsible.value()).Adopt(std::move(entry));
     }
   }
   return Status::OK();
@@ -345,6 +344,9 @@ StatusOr<uint64_t> DhtNetwork::Put(uint64_t from_node, uint64_t dht_key,
                                    StoreKey app_key, std::string value,
                                    uint64_t ttl_ticks) {
   ScopedSpan span(tracer_, "put");
+  if (app_key.is_dhs() && !value.empty()) {
+    return Status::InvalidArgument("DHS tuples carry no value");
+  }
   const size_t payload = app_key.SizeBytes() + value.size();
   auto lookup = Lookup(from_node, dht_key, payload);
   if (!lookup.ok()) return lookup.status();

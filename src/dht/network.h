@@ -217,7 +217,9 @@ class DhtNetwork : private ThreadHostile {
                    size_t payload_bytes = 0);
 
   /// Full insert primitive: Lookup(dht_key) then store at the
-  /// responsible node. Returns the storing node.
+  /// responsible node. Returns the storing node. DHS tuples carry no
+  /// value: a packed key with a non-empty value is InvalidArgument,
+  /// before any message is charged.
   [[nodiscard]] StatusOr<uint64_t> Put(uint64_t from_node, uint64_t dht_key,
                          StoreKey app_key, std::string value,
                          uint64_t ttl_ticks);
@@ -342,7 +344,8 @@ class DhtNetwork : private ThreadHostile {
   /// Re-homes records after `node_id` joined. The default scans every
   /// node and moves records whose responsible node changed — always
   /// correct, O(total records). Geometries may override with a targeted
-  /// version (Chord: only the successor can lose keys).
+  /// version (Chord: only the successor can lose keys; Kademlia: an XOR
+  /// prefilter before the responsibility check).
   virtual void MigrateOnJoin(uint64_t new_node_id);
 
   /// Invoked after every ring_ mutation (join/leave/fail), before any

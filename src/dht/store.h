@@ -6,15 +6,20 @@
 // refreshed).
 //
 // Keys are StoreKey values: either a packed DHS coordinate
-// (metric, bit, vector) held inline with no heap allocation, or an
-// arbitrary raw byte string (the escape hatch for non-DHS users such as
-// the baselines). Expiry is tracked by a lazy min-heap per store so
-// that advancing the virtual clock touches only stores whose earliest
-// record is actually due, instead of rescanning every record.
+// (metric, bit, vector) or an arbitrary raw byte string (the escape
+// hatch for non-DHS users such as the baselines). The two live in
+// separate sections. DHS tuples carry no value, so the packed section
+// keeps one sorted contiguous array of {vector, dht_key, expires_at}
+// per (metric, bit) group — no heap allocation or string per record,
+// and exactly the layout a metric query reads. Raw records keep an
+// ordered map. Expiry is tracked by a lazy min-heap per section so that
+// advancing the virtual clock touches only stores whose earliest record
+// is actually due, instead of rescanning every record.
 
 #ifndef DHS_DHT_STORE_H_
 #define DHS_DHT_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -104,6 +109,8 @@ class StoreKey {
   }
 
  private:
+  friend class NodeStore;  // re-points one key across a packed scan
+
   enum Kind : uint8_t { kDhs = 0, kRaw = 1 };
 
   Kind kind_ = kRaw;
@@ -120,20 +127,27 @@ struct StoreRecord {
   uint64_t expires_at = kNoExpiry;  // absolute virtual-clock tick
 };
 
-/// The storage hosted by a single overlay node. The map is ordered so
-/// (metric, bit) scans are O(log n + matches); a lazy expiry heap makes
-/// "anything due?" an O(1) question.
+/// A record lifted out of a store (graceful-leave re-homing).
+struct StoreEntry {
+  StoreKey key;
+  StoreRecord record;
+};
+
+/// The storage hosted by a single overlay node. Both sections are
+/// ordered so (metric, bit) scans are O(log groups + matches); lazy
+/// expiry heaps make "anything due?" an O(1) question.
 class NodeStore {
  public:
-  using RecordMap = std::map<StoreKey, StoreRecord>;
-
   /// Inserts or refreshes a record. Refreshing updates value, dht_key and
-  /// expiry (the paper's timestamp-reset on update).
+  /// expiry (the paper's timestamp-reset on update). DHS tuples carry no
+  /// value: a packed key with a non-empty value CHECK-fails.
   void Put(uint64_t dht_key, StoreKey app_key, std::string value,
            uint64_t expires_at);
 
   /// Returns the live record for `app_key`, or nullptr. Records whose
-  /// expiry is <= now are treated as absent (and lazily erased).
+  /// expiry is <= now are treated as absent (and lazily erased). A
+  /// packed record is returned as a copy held by the store, valid until
+  /// the next call on it.
   const StoreRecord* Get(const StoreKey& app_key, uint64_t now);
 
   /// Removes a record; returns true if present.
@@ -147,7 +161,11 @@ class NodeStore {
   /// May be stale-low after refreshes/erases — callers use it as a cheap
   /// "nothing can be due yet" filter, never as an exact value.
   uint64_t MinExpiry() const {
-    return expiry_heap_.empty() ? kNoExpiry : expiry_heap_.top().expires_at;
+    const uint64_t packed =
+        packed_heap_.empty() ? kNoExpiry : packed_heap_.top().expires_at;
+    const uint64_t raw =
+        raw_heap_.empty() ? kNoExpiry : raw_heap_.top().expires_at;
+    return std::min(packed, raw);
   }
 
   /// Points this store at a network-level watermark: every Put of a
@@ -161,26 +179,18 @@ class NodeStore {
   template <typename Fn>
   void ForEachDhs(uint64_t metric_id, int bit, uint64_t now,
                   Fn&& fn) const {
-    auto it = records_.lower_bound(StoreKey::Dhs(metric_id, bit, 0));
-    for (; it != records_.end(); ++it) {
-      const StoreKey& key = it->first;
-      if (!key.is_dhs() || key.metric_id() != metric_id ||
-          key.bit() != bit) {
-        break;
-      }
-      if (it->second.expires_at > now) fn(key, it->second);
-    }
+    if (bit != static_cast<uint8_t>(bit)) return;  // no such group
+    auto it = groups_.find(GroupKey{metric_id, static_cast<uint8_t>(bit)});
+    if (it != groups_.end()) VisitGroup(*it, now, fn);
   }
 
   /// Invokes fn(key, record) for each live record of `metric_id` across
   /// all bits, in (bit, vector) order.
   template <typename Fn>
   void ForEachDhsMetric(uint64_t metric_id, uint64_t now, Fn&& fn) const {
-    auto it = records_.lower_bound(StoreKey::Dhs(metric_id, 0, 0));
-    for (; it != records_.end(); ++it) {
-      const StoreKey& key = it->first;
-      if (!key.is_dhs() || key.metric_id() != metric_id) break;
-      if (it->second.expires_at > now) fn(key, it->second);
+    for (auto it = groups_.lower_bound(GroupKey{metric_id, 0});
+         it != groups_.end() && it->first.first == metric_id; ++it) {
+      VisitGroup(*it, now, fn);
     }
   }
 
@@ -190,32 +200,61 @@ class NodeStore {
   template <typename Fn>
   void ForEachWithPrefix(const std::string& prefix, uint64_t now,
                          Fn&& fn) const {
-    auto it = records_.lower_bound(StoreKey(prefix));
-    for (; it != records_.end(); ++it) {
+    auto it = raw_.lower_bound(StoreKey(prefix));
+    for (; it != raw_.end(); ++it) {
       const std::string& key = it->first.raw();
       if (key.compare(0, prefix.size(), prefix) != 0) break;
       if (it->second.expires_at > now) fn(key, it->second);
     }
   }
 
-  /// Invokes fn(key, record) for every live record (both sections).
+  /// Invokes fn(key, record) for every live record: the packed section
+  /// in (metric, bit, vector) order, then the raw one.
   template <typename Fn>
   void ForEach(uint64_t now, Fn&& fn) const {
-    for (const auto& [key, rec] : records_) {
+    for (const auto& group : groups_) VisitGroup(group, now, fn);
+    for (const auto& [key, rec] : raw_) {
       if (rec.expires_at > now) fn(key, rec);
     }
   }
 
   /// Moves every record with dht_key selected by `predicate` into `dest`
-  /// (membership-change migration). Map nodes are spliced over — no
-  /// key/value reallocation.
+  /// (membership-change migration).
   template <typename Pred>
   void MigrateIf(Pred&& predicate, NodeStore& dest) {
-    for (auto it = records_.begin(); it != records_.end();) {
+    std::vector<Tuple> moved;
+    for (auto g = groups_.begin(); g != groups_.end();) {
+      std::vector<Tuple>& tuples = g->second;
+      auto first = std::find_if(tuples.begin(), tuples.end(),
+                                [&](const Tuple& t) {
+                                  return predicate(t.dht_key);
+                                });
+      if (first == tuples.end()) {
+        ++g;
+        continue;
+      }
+      moved.assign(1, *first);
+      auto kept = first;
+      for (auto t = std::next(first); t != tuples.end(); ++t) {
+        if (predicate(t->dht_key)) {
+          moved.push_back(*t);
+        } else {
+          *kept++ = *t;
+        }
+      }
+      tuples.erase(kept, tuples.end());
+      packed_records_ -= moved.size();
+      size_bytes_ -= moved.size() * StoreKey::kDhsEncodedBytes;
+      dest.AdoptTuples(g->first, moved.data(), moved.data() + moved.size());
+      g = tuples.empty() ? groups_.erase(g) : std::next(g);
+    }
+    for (auto it = raw_.begin(); it != raw_.end();) {
       if (predicate(it->second.dht_key)) {
         auto next = std::next(it);
         size_bytes_ -= it->first.SizeBytes() + it->second.value.size();
-        dest.Adopt(records_.extract(it));
+        auto node = raw_.extract(it);
+        dest.Adopt(
+            StoreEntry{std::move(node.key()), std::move(node.mapped())});
         it = next;
       } else {
         ++it;
@@ -223,30 +262,31 @@ class NodeStore {
     }
   }
 
-  /// Moves everything into `dest` (graceful leave) via std::map::merge —
-  /// no per-record reallocation. Incoming records replace resident ones
-  /// on key collision (last-writer-wins, as migration always did).
+  /// Moves everything into `dest` (graceful leave). Incoming records
+  /// replace resident ones on key collision (last-writer-wins, as
+  /// migration always did).
   void MigrateAll(NodeStore& dest);
 
-  /// Moves out every record still live at `now` and empties the store
-  /// (graceful-leave re-homing; the caller re-inserts each map node into
-  /// the new responsible store via Adopt()).
-  RecordMap TakeRecords(uint64_t now);
+  /// Moves out every record still live at `now`, in ForEach order, and
+  /// empties the store (graceful-leave re-homing; the caller re-inserts
+  /// each entry into the new responsible store via Adopt()).
+  std::vector<StoreEntry> TakeRecords(uint64_t now);
 
-  /// Adopts one extracted map node, replacing any resident record under
-  /// the same key.
-  void Adopt(RecordMap::node_type&& node);
+  /// Adopts one record taken from another store, replacing any resident
+  /// record under the same key.
+  void Adopt(StoreEntry&& entry);
 
   void Clear();
-  size_t NumRecords() const { return records_.size(); }
+  size_t NumRecords() const { return packed_records_ + raw_.size(); }
 
   /// Exhaustively re-derives this store's redundant state and compares it
-  /// against the maintained copies: byte accounting (SizeBytes() equals
-  /// the recomputed key+value total) and expiry tracking (every record
-  /// with a finite deadline has a heap entry at or below that deadline,
-  /// so MinExpiry() is a sound lower bound). O(records + heap); intended
-  /// for audits and tests, not the hot path. Returns OK or Internal with
-  /// a description of the first violation.
+  /// against the maintained copies: the packed layout (groups non-empty,
+  /// vectors strictly ascending, record count), byte accounting
+  /// (SizeBytes() equals the recomputed key+value total) and expiry
+  /// tracking (every record with a finite deadline has a heap entry at or
+  /// below that deadline, so MinExpiry() is a sound lower bound).
+  /// O(records + heap); intended for audits and tests, not the hot path.
+  /// Returns OK or Internal with a description of the first violation.
   [[nodiscard]] Status AuditFull(uint64_t now) const;
 
   /// The network watermark this store pushes expiries into (nullptr when
@@ -258,27 +298,99 @@ class NodeStore {
   size_t SizeBytes() const { return size_bytes_; }
 
  private:
-  struct ExpiryEntry {
+  /// One packed DHS record; its group supplies (metric, bit).
+  struct Tuple {
+    uint64_t dht_key = 0;
+    uint64_t expires_at = kNoExpiry;
+    uint16_t vector = 0;
+  };
+  /// (metric, bit); ordered like the packed keys it groups.
+  using GroupKey = std::pair<uint64_t, uint8_t>;
+  /// Tuples sorted by strictly ascending vector; never empty.
+  using GroupMap = std::map<GroupKey, std::vector<Tuple>>;
+  /// Raw-keyed records; every key is a raw StoreKey.
+  using RawMap = std::map<StoreKey, StoreRecord>;
+
+  struct PackedExpiry {
+    uint64_t expires_at = 0;
+    uint64_t metric = 0;
+    uint16_t vector = 0;
+    uint8_t bit = 0;
+  };
+  struct RawExpiry {
     uint64_t expires_at = 0;
     StoreKey key;
   };
   struct LaterExpiry {
-    bool operator()(const ExpiryEntry& a, const ExpiryEntry& b) const {
+    template <typename Entry>
+    bool operator()(const Entry& a, const Entry& b) const {
       return a.expires_at > b.expires_at;
     }
   };
+  template <typename Entry>
+  using ExpiryHeap =
+      std::priority_queue<Entry, std::vector<Entry>, LaterExpiry>;
 
-  /// Records a (possibly new) finite expiry for `key` in the heap and
-  /// pushes the bound watermark down.
-  void NoteExpiry(const StoreKey& key, uint64_t expires_at);
+  /// Calls fn(key, record) for each live tuple of `group`, re-pointing
+  /// one key and one record rather than building them per tuple.
+  template <typename Fn>
+  static void VisitGroup(const GroupMap::value_type& group, uint64_t now,
+                         Fn& fn) {
+    StoreKey key = StoreKey::Dhs(group.first.first, group.first.second, 0);
+    StoreRecord rec;
+    for (const Tuple& t : group.second) {
+      if (t.expires_at <= now) continue;
+      key.vector_ = t.vector;
+      rec.dht_key = t.dht_key;
+      rec.expires_at = t.expires_at;
+      fn(static_cast<const StoreKey&>(key),
+         static_cast<const StoreRecord&>(rec));
+    }
+  }
+
+  using TupleIt = std::vector<Tuple>::iterator;
+
+  /// The tuple for `vector` in `tuples`, or the position it would take.
+  static TupleIt FindTuple(std::vector<Tuple>& tuples, uint16_t vector);
+
+  /// Inserts `tuple` into a group at `pos`, growing the array by a
+  /// quarter rather than doubling it: small groups dominate, and their
+  /// slack is resident memory.
+  static void InsertTuple(std::vector<Tuple>& tuples, TupleIt pos,
+                          const Tuple& tuple);
+
+  /// Locates the tuple of a packed key; false if absent.
+  bool FindPacked(const StoreKey& key, GroupMap::iterator* group,
+                  TupleIt* tuple);
+
+  /// Erases one tuple, dropping its group once empty.
+  void ErasePacked(GroupMap::iterator group, TupleIt tuple);
 
   /// Erases `it`, maintaining the byte accounting. Stale heap entries
   /// are left behind and skipped when popped.
-  RecordMap::iterator EraseIt(RecordMap::iterator it);
+  RawMap::iterator EraseRaw(RawMap::iterator it);
 
-  RecordMap records_;
-  std::priority_queue<ExpiryEntry, std::vector<ExpiryEntry>, LaterExpiry>
-      expiry_heap_;
+  /// Inserts [first, last) into the group `key`; incoming tuples
+  /// replace resident ones, and every finite expiry is registered.
+  void AdoptTuples(const GroupKey& key, const Tuple* first,
+                   const Tuple* last);
+
+  /// Records a (possibly new) finite expiry in the matching heap and
+  /// pushes the bound watermark down.
+  void NotePackedExpiry(const GroupKey& key, uint16_t vector,
+                        uint64_t expires_at);
+  void NoteRawExpiry(const StoreKey& key, uint64_t expires_at);
+  void LowerWatermark(uint64_t expires_at);
+
+  size_t ExpirePacked(uint64_t now);
+  size_t ExpireRaw(uint64_t now);
+
+  GroupMap groups_;
+  size_t packed_records_ = 0;
+  RawMap raw_;
+  ExpiryHeap<PackedExpiry> packed_heap_;
+  ExpiryHeap<RawExpiry> raw_heap_;
+  StoreRecord packed_view_;  // Get()'s copy of a packed record
   size_t size_bytes_ = 0;
   uint64_t* watermark_ = nullptr;
 };

@@ -70,6 +70,11 @@ StatusOr<std::string> ServeMigrate(DhtNetwork& network, uint64_t node,
     return Status::NotFound("migrate target is gone");
   }
   for (const MigrateRecord& record : migrate.records) {
+    if (record.key.is_dhs() && !record.value.empty()) {
+      return Status::InvalidArgument("migrated DHS tuple carries a value");
+    }
+  }
+  for (const MigrateRecord& record : migrate.records) {
     store->Put(record.dht_key, record.key, record.value, record.expires_at);
   }
   AckFrame ack;

@@ -35,13 +35,13 @@ void StoreLe32(uint8_t* p, uint32_t x) {
   p[3] = static_cast<uint8_t>(x >> 24);
 }
 
+constexpr uint32_t kInitialState[4] = {0x67452301u, 0xefcdab89u,
+                                       0x98badcfeu, 0x10325476u};
+
 }  // namespace
 
 void Md4::Reset() {
-  state_[0] = 0x67452301u;
-  state_[1] = 0xefcdab89u;
-  state_[2] = 0x98badcfeu;
-  state_[3] = 0x10325476u;
+  std::memcpy(state_, kInitialState, sizeof(state_));
   total_len_ = 0;
   buffer_len_ = 0;
 }
@@ -49,8 +49,11 @@ void Md4::Reset() {
 void Md4::ProcessBlock(const uint8_t block[64]) {
   uint32_t x[16];
   for (int i = 0; i < 16; ++i) x[i] = LoadLe32(block + 4 * i);
+  Compress(state_, x);
+}
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
+void Md4::Compress(uint32_t state[4], const uint32_t x[16]) {
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
 
   // Round 1: [abcd k s]  a = (a + F(b,c,d) + X[k]) <<< s.
   auto ff = [&x](uint32_t& aa, uint32_t bb, uint32_t cc, uint32_t dd, int k,
@@ -88,10 +91,10 @@ void Md4::ProcessBlock(const uint8_t block[64]) {
     hh(b, c, d, a, kRound3Order[i + 3], 15);
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
 }
 
 void Md4::Update(const void* data, size_t len) {
@@ -121,17 +124,21 @@ void Md4::Update(const void* data, size_t len) {
 }
 
 Md4::Digest Md4::Finalize() {
-  // Padding: a single 0x80 byte, zeros, then the 64-bit bit-length (LE).
+  // Padding: a single 0x80 byte, zeros up to 56 mod 64, then the 64-bit
+  // bit-length (LE), written straight into the block buffer. A message
+  // tail of at most 55 bytes therefore costs exactly one block.
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad_byte = 0x80;
-  Update(&pad_byte, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-
-  uint8_t length_bytes[8];
-  StoreLe32(length_bytes, static_cast<uint32_t>(bit_len));
-  StoreLe32(length_bytes + 4, static_cast<uint32_t>(bit_len >> 32));
-  Update(length_bytes, 8);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  StoreLe32(buffer_ + 56, static_cast<uint32_t>(bit_len));
+  StoreLe32(buffer_ + 60, static_cast<uint32_t>(bit_len >> 32));
+  ProcessBlock(buffer_);
+  buffer_len_ = 0;
 
   Digest digest;
   for (int i = 0; i < 4; ++i) StoreLe32(digest.data() + 4 * i, state_[i]);
@@ -157,6 +164,21 @@ std::string Md4::ToHex(const Digest& digest) {
     out.push_back(kHex[byte & 0xf]);
   }
   return out;
+}
+
+uint64_t Md4::HashU64(uint64_t value) {
+  // The padded 8-byte message is one block: the value's two LE words,
+  // the 0x80 pad byte, zeros, and the bit length 64.
+  uint32_t x[16] = {};
+  x[0] = static_cast<uint32_t>(value);
+  x[1] = static_cast<uint32_t>(value >> 32);
+  x[2] = 0x80u;
+  x[14] = 64u;
+  uint32_t state[4];
+  std::memcpy(state, kInitialState, sizeof(state));
+  Compress(state, x);
+  return static_cast<uint64_t>(state[0]) |
+         (static_cast<uint64_t>(state[1]) << 32);
 }
 
 uint64_t Md4::DigestToU64(const Digest& digest) {

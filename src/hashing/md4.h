@@ -48,8 +48,15 @@ class Md4 {
   /// L-bit ID derivation used by the DHT layer.
   static uint64_t DigestToU64(const Digest& digest);
 
+  /// DigestToU64(Hash(8 little-endian bytes of value)), computed as the
+  /// single padded block it is.
+  static uint64_t HashU64(uint64_t value);
+
  private:
   void ProcessBlock(const uint8_t block[64]);
+
+  /// The MD4 compression function over one block of 16 LE words.
+  static void Compress(uint32_t state[4], const uint32_t x[16]);
 
   uint32_t state_[4];
   uint64_t total_len_ = 0;     // message length in bytes

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "dhs/client.h"
@@ -244,6 +246,91 @@ INSTANTIATE_TEST_SUITE_P(AllEstimators, DhsOverKademliaTest,
                          ::testing::Values(DhsEstimator::kSuperLogLog,
                                            DhsEstimator::kPcsa,
                                            DhsEstimator::kHyperLogLog));
+
+// Kademlia with the generic join rule (rescan every record, move those
+// the joiner is now responsible for): the reference the prefiltered
+// override must reproduce exactly.
+class GenericJoinKademlia : public KademliaNetwork {
+ public:
+  using KademliaNetwork::KademliaNetwork;
+
+ protected:
+  void MigrateOnJoin(uint64_t new_node_id) override {
+    DhtNetwork::MigrateOnJoin(new_node_id);
+  }
+};
+
+// Every record of every store, in node then key order.
+std::string DumpStores(const DhtNetwork& net) {
+  std::string dump;
+  for (uint64_t id : net.NodeIds()) {
+    dump += "node " + std::to_string(id) + "\n";
+    net.StoreAt(id)->ForEach(
+        net.now(), [&](const StoreKey& key, const StoreRecord& rec) {
+          dump += key.ToBytes() + " " + std::to_string(rec.dht_key) + " " +
+                  std::to_string(rec.expires_at) + " " + rec.value + "\n";
+        });
+  }
+  return dump;
+}
+
+TEST(KademliaJoinTest, PrefilteredJoinMovesExactlyTheGenericSet) {
+  KademliaNetwork fast(FastConfig());
+  GenericJoinKademlia generic(FastConfig());
+  DhtNetwork* const worlds[] = {&fast, &generic};
+  Rng ids(31);
+  for (int i = 0; i < 96; ++i) {
+    const uint64_t id = ids.Next();
+    for (DhtNetwork* net : worlds) ASSERT_TRUE(net->AddNode(id).ok());
+  }
+  FaultConfig faults;
+  faults.drop_probability = 0.02;
+  faults.timeout_probability = 0.01;
+  faults.crash_probability = 0.001;
+  faults.seed = 5;
+  DhsConfig config;
+  config.m = 16;
+  config.estimator = DhsEstimator::kHyperLogLog;
+  config.replication = 2;
+  config.ttl_ticks = 24;
+  std::vector<DhsClient> clients;
+  for (DhtNetwork* net : worlds) {
+    ASSERT_TRUE(net->SetFaultPlan(faults).ok());
+    auto client = DhsClient::Create(net, config);
+    ASSERT_TRUE(client.ok());
+    clients.push_back(std::move(client.value()));
+  }
+
+  MixHasher items(17);
+  uint64_t next_item = 0;
+  int joins = 0;
+  for (int round = 0; round < 24; ++round) {
+    std::vector<uint64_t> batch;
+    for (int i = 0; i < 400; ++i) batch.push_back(items.HashU64(next_item++));
+    const uint64_t joiner = ids.Next();
+    for (size_t w = 0; w < 2; ++w) {
+      DhtNetwork& net = *worlds[w];
+      Rng rng(1000 + static_cast<uint64_t>(round));
+      (void)clients[w].InsertBatch(net.RandomNode(rng),
+                                   static_cast<uint64_t>(round % 3), batch,
+                                   rng);
+      if (net.NumNodes() > 2) {
+        ASSERT_TRUE(net.RemoveNode(net.RandomNode(rng)).ok());
+      }
+      ASSERT_TRUE(net.AddNode(joiner).ok());
+      net.AdvanceClock(2);
+    }
+    ++joins;
+    ASSERT_EQ(fast.NodeIds(), generic.NodeIds()) << "round " << round;
+    ASSERT_EQ(DumpStores(fast), DumpStores(generic)) << "round " << round;
+    const Status audit = fast.AuditFull();
+    ASSERT_TRUE(audit.ok()) << audit.ToString();
+  }
+  EXPECT_EQ(joins, 24);
+  size_t records = 0;
+  for (uint64_t id : fast.NodeIds()) records += fast.StoreAt(id)->NumRecords();
+  EXPECT_GT(records, 0u);  // the joins had records to move
+}
 
 }  // namespace
 }  // namespace dhs

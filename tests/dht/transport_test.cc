@@ -65,6 +65,22 @@ std::vector<double> RunWorkload(DhsClient& client, ChordNetwork& net,
   return estimates;
 }
 
+TEST(ServeFrameTest, MigrateRefusesDhsTupleWithValue) {
+  ChordNetwork net(FastChord());
+  BuildNodes(net, 4, 3);
+  const uint64_t node = net.NodeIds().front();
+  MigrateFrame frame;
+  frame.records.push_back({7, StoreKey("raw"), kNoExpiry, "v"});
+  frame.records.push_back({8, StoreKey::Dhs(1, 2, 3), kNoExpiry, "v"});
+  auto refused = ServeFrame(net, node, EncodeMigrate(frame));
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(net.StoreAt(node)->NumRecords(), 0u);  // all or nothing
+
+  frame.records.back().value.clear();
+  EXPECT_TRUE(ServeFrame(net, node, EncodeMigrate(frame)).ok());
+  EXPECT_EQ(net.StoreAt(node)->NumRecords(), 2u);
+}
+
 TEST(SimTransportTest, FrameTapReconcilesWithMessageStatsClean) {
   ChordNetwork net(FastChord());
   BuildNodes(net, 128, 20260705);

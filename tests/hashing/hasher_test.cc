@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "common/random.h"
+
 namespace dhs {
 namespace {
 
@@ -29,11 +31,20 @@ TEST(Md4HasherTest, Deterministic) {
 }
 
 TEST(Md4HasherTest, HashU64MatchesByteEncoding) {
+  // HashU64 hashes one padded block directly; it must equal the MD4 of
+  // the value's 8 little-endian bytes.
   Md4Hasher hasher;
-  const uint64_t value = 0x0123456789abcdefULL;
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(value >> (8 * i));
-  EXPECT_EQ(hasher.HashU64(value), hasher.Hash(std::string_view(bytes, 8)));
+  Rng rng(4);
+  std::vector<uint64_t> values = {0, ~uint64_t{0}, 0x0123456789abcdefULL};
+  for (int i = 0; i < 1000; ++i) values.push_back(rng.Next());
+  for (uint64_t value : values) {
+    char bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<char>(value >> (8 * i));
+    }
+    EXPECT_EQ(hasher.HashU64(value), hasher.Hash(std::string_view(bytes, 8)))
+        << "value=" << value;
+  }
 }
 
 TEST(Md4HasherTest, LowBitsAreUniform) {

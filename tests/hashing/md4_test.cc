@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+
+#include "common/random.h"
 
 namespace dhs {
 namespace {
@@ -65,14 +68,21 @@ TEST(Md4Test, IncrementalMatchesOneShot) {
 }
 
 TEST(Md4Test, ExactBlockSizeMessages) {
-  // 55/56/63/64/65 bytes straddle the padding edge cases.
-  for (size_t len : {55u, 56u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const std::string message(len, 'x');
+  // Every length up to 200 bytes, so 55/56/63/64/65/119/120/128 straddle
+  // the padding edge cases: one-shot == one Update == byte at a time.
+  Rng rng(1320);
+  for (size_t len = 0; len <= 200; ++len) {
+    std::string message;
+    for (size_t i = 0; i < len; ++i) {
+      message.push_back(static_cast<char>(rng.Next()));
+    }
     Md4 a;
     a.Update(message);
     Md4 b;
     for (char c : message) b.Update(&c, 1);
-    EXPECT_EQ(a.Finalize(), b.Finalize()) << "len=" << len;
+    const Md4::Digest bytewise = b.Finalize();
+    EXPECT_EQ(a.Finalize(), bytewise) << "len=" << len;
+    EXPECT_EQ(Md4::Hash(message), bytewise) << "len=" << len;
   }
 }
 
@@ -93,6 +103,27 @@ TEST(Md4Test, DigestToU64IsLittleEndianPrefix) {
 
 TEST(Md4Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(Md4::Hash("node-1"), Md4::Hash("node-2"));
+}
+
+// Digests of 'a'..'z' repeated to the given length, from an
+// implementation that padded one Update byte at a time: the one-step
+// padding must reproduce them at every padding edge.
+TEST(Md4Test, PaddingEdgeDigestsUnchanged) {
+  const std::pair<size_t, const char*> kGolden[] = {
+      {55, "dd3d4546abbd95d12059090017f36605"},
+      {56, "e72e93b48028e33f5cf0fa49017436c5"},
+      {63, "4f58683635e5c54a102b623ac768a8d0"},
+      {64, "0e15e9469255749a626ab50d260ca5de"},
+      {119, "1ac68952bb71cb863e7fab2ba18e0298"},
+      {120, "e787de409d1ad1c3094d67f980811c53"},
+  };
+  for (const auto& [len, hex] : kGolden) {
+    std::string message;
+    for (size_t i = 0; i < len; ++i) {
+      message.push_back(static_cast<char>('a' + i % 26));
+    }
+    EXPECT_EQ(HexOf(message), hex) << "len=" << len;
+  }
 }
 
 }  // namespace

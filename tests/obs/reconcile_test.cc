@@ -24,8 +24,13 @@
 namespace dhs {
 namespace {
 
+// gtest prints a parameter without a printer as a dump of its bytes,
+// and ctest folds that dump into each test's name. A fixed-size name
+// (no pointer, no padding) keeps that dump, and so the test names, the
+// same on every run and build; a std::string would put a heap address
+// in the names.
 struct ReconcileCase {
-  std::string name;
+  char name[38];
   bool kademlia;
   bool faults;
 };
@@ -203,7 +208,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ReconcileCase{"KademliaClean", true, false},
                       ReconcileCase{"KademliaFaulted", true, true}),
     [](const ::testing::TestParamInfo<ReconcileCase>& param_info) {
-      return param_info.param.name;
+      return std::string(param_info.param.name);
     });
 
 }  // namespace
