@@ -7,7 +7,7 @@
 // is the one sanctioned home for them; the determinism linter
 // (tools/lint) enforces it for the rest of the tree.
 //
-// Cost model: the held stack is a thread_local vector push/pop per
+// Cost model: the held stack is a thread_local array push/pop per
 // acquisition, and the contention counters are relaxed atomic adds.
 // Only acquisitions taken while the thread ALREADY holds another mutex
 // touch the global graph (one std::mutex-guarded map update plus a
@@ -24,6 +24,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -52,12 +53,23 @@ struct Held {
   Site site;
 };
 
-/// The held stack must survive use during thread_local destruction
-/// (detached worker teardown can release locks late), so it is a plain
-/// pointer to a leaked vector rather than a vector with a destructor.
-std::vector<Held>& HeldStack() {
-  thread_local std::vector<Held>* stack = new std::vector<Held>();
-  return *stack;
+/// The locks this thread holds, oldest first. Fixed capacity and
+/// trivially destructible: it stays usable during thread_local
+/// destruction (detached worker teardown can release locks late) and
+/// owns no heap memory, so a thread's exit leaks nothing.
+struct HeldLocks {
+  Held entries[kMaxHeldLocks];
+  size_t depth;
+
+  const Held* begin() const { return entries; }
+  const Held* end() const { return entries + depth; }
+  bool empty() const { return depth == 0; }
+};
+static_assert(std::is_trivially_destructible_v<HeldLocks>);
+
+HeldLocks& HeldStack() {
+  constinit thread_local HeldLocks stack{};
+  return stack;
 }
 
 /// An observed acquisition ordering: `holder` was held at holder_site
@@ -117,10 +129,32 @@ void FireDeadlockReport(const Site& site, const std::string& message) {
       << message;
 }
 
+/// The locks in `held`, each with its acquisition site.
+std::string HeldNames(const HeldLocks& held) {
+  std::ostringstream os;
+  for (const Held& h : held) {
+    os << " \"" << h.mu->name() << "\" (";
+    AppendSite(os, h.site);
+    os << ")";
+  }
+  return os.str();
+}
+
+/// CHECK-fails, naming every lock this thread holds, when acquiring `mu`
+/// would overflow the held stack.
+void CheckHeldRoom(const HeldLocks& held, const Mutex* mu) {
+  CHECK(held.depth < kMaxHeldLocks)
+      << ": acquiring Mutex \"" << mu->name() << "\" while holding "
+      << held.depth << " locks:" << HeldNames(held);
+}
+
 }  // namespace
 
 void PreAcquire(const Mutex* mu, const std::source_location& loc) {
-  const std::vector<Held>& held = HeldStack();
+  const HeldLocks& held = HeldStack();
+  // Before the native lock is touched, so a reported overflow leaves
+  // nothing locked.
+  CheckHeldRoom(held, mu);
   // Self-deadlock: a non-recursive mutex re-acquired by its holder
   // would block forever, so report before touching the native lock.
   for (const Held& h : held) {
@@ -183,7 +217,9 @@ void PreAcquire(const Mutex* mu, const std::source_location& loc) {
 }
 
 void PostAcquire(const Mutex* mu, const std::source_location& loc) {
-  HeldStack().push_back(Held{mu, MakeSite(loc)});
+  HeldLocks& held = HeldStack();
+  CheckHeldRoom(held, mu);  // TryLock skips PreAcquire
+  held.entries[held.depth++] = Held{mu, MakeSite(loc)};
   // First acquisition registers the mutex with the profile registry, so
   // SnapshotMutexProfiles() covers live leaf mutexes too (not just ones
   // that formed an ordering edge or were already destroyed). One-time
@@ -196,12 +232,14 @@ void PostAcquire(const Mutex* mu, const std::source_location& loc) {
 }
 
 void PreRelease(const Mutex* mu) {
-  std::vector<Held>& held = HeldStack();
+  HeldLocks& held = HeldStack();
   // Unlock order need not be LIFO (manual Lock/Unlock pairs), so drop
   // the most recent matching entry.
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    if (it->mu == mu) {
-      held.erase(std::next(it).base());
+  for (size_t i = held.depth; i-- > 0;) {
+    if (held.entries[i].mu == mu) {
+      std::copy(held.entries + i + 1, held.entries + held.depth,
+                held.entries + i);
+      --held.depth;
       return;
     }
   }
@@ -213,7 +251,7 @@ void PreRelease(const Mutex* mu) {
 }
 
 bool HeldByThisThread(const Mutex* mu) {
-  const std::vector<Held>& held = HeldStack();
+  const HeldLocks& held = HeldStack();
   return std::any_of(held.begin(), held.end(),
                      [mu](const Held& h) { return h.mu == mu; });
 }

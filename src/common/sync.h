@@ -141,6 +141,10 @@ struct MutexCounters {
   std::atomic<bool> registered{false};
 };
 
+/// Locks one thread may hold at once; acquiring one more CHECK-fails,
+/// naming the locks held.
+inline constexpr size_t kMaxHeldLocks = 32;
+
 /// Called by Mutex before blocking on the native lock: runs the
 /// self-deadlock and lock-order cycle checks (when the detector is
 /// enabled) and records the would-be acquisition edge. May fire the

@@ -1,16 +1,26 @@
 #include "dhs/maintainer.h"
 
+#include <algorithm>
+#include <functional>
+
 namespace dhs {
 
 void DhsMaintainer::RegisterItem(uint64_t node, uint64_t metric,
                                  uint64_t item_hash) {
-  registry_[node][metric].insert(item_hash);
+  std::vector<uint64_t>& items = registry_[node][metric];
+  auto it = std::lower_bound(items.begin(), items.end(), item_hash);
+  if (it == items.end() || *it != item_hash) items.insert(it, item_hash);
 }
 
 void DhsMaintainer::RegisterItems(uint64_t node, uint64_t metric,
                                   const std::vector<uint64_t>& item_hashes) {
-  auto& items = registry_[node][metric];
-  items.insert(item_hashes.begin(), item_hashes.end());
+  std::vector<uint64_t>& items = registry_[node][metric];
+  const auto old_size = static_cast<std::ptrdiff_t>(items.size());
+  items.insert(items.end(), item_hashes.begin(), item_hashes.end());
+  const auto middle = items.begin() + old_size;
+  std::sort(middle, items.end());
+  std::inplace_merge(items.begin(), middle, items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
 }
 
 void DhsMaintainer::UnregisterItem(uint64_t node, uint64_t metric,
@@ -19,8 +29,10 @@ void DhsMaintainer::UnregisterItem(uint64_t node, uint64_t metric,
   if (node_it == registry_.end()) return;
   auto metric_it = node_it->second.find(metric);
   if (metric_it == node_it->second.end()) return;
-  metric_it->second.erase(item_hash);
-  if (metric_it->second.empty()) node_it->second.erase(metric_it);
+  std::vector<uint64_t>& items = metric_it->second;
+  auto it = std::lower_bound(items.begin(), items.end(), item_hash);
+  if (it != items.end() && *it == item_hash) items.erase(it);
+  if (items.empty()) node_it->second.erase(metric_it);
   if (node_it->second.empty()) registry_.erase(node_it);
 }
 
@@ -31,11 +43,9 @@ StatusOr<size_t> DhsMaintainer::RefreshRound(Rng& rng) {
   // nest as the client's own insert_batch spans.
   ScopedSpan span(client_->network()->tracer(), "refresh_round");
   size_t rounds = 0;
-  std::vector<uint64_t> batch;
   for (const auto& [node, metrics] : registry_) {
     for (const auto& [metric, items] : metrics) {
-      batch.assign(items.begin(), items.end());
-      auto refreshed = client_->InsertBatch(node, metric, batch, rng);
+      auto refreshed = client_->InsertBatch(node, metric, items, rng);
       if (!refreshed.ok()) {
         if (refreshed.status().IsInvalidArgument()) {
           continue;  // node left the overlay
@@ -78,7 +88,14 @@ Status DhsMaintainer::AuditFull() const {
       if (items.empty()) {
         return Status::Internal(
             "maintainer audit: node " + std::to_string(node) + " metric " +
-            std::to_string(metric) + " has an empty item set (not pruned)");
+            std::to_string(metric) + " has an empty item list (not pruned)");
+      }
+      if (std::adjacent_find(items.begin(), items.end(),
+                             std::greater_equal<uint64_t>()) != items.end()) {
+        return Status::Internal(
+            "maintainer audit: node " + std::to_string(node) + " metric " +
+            std::to_string(metric) +
+            " item list is not strictly ascending (unsorted or duplicated)");
       }
       for (uint64_t item : items) {
         const DhsPlacement placement = client_->PlaceItem(item);

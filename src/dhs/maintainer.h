@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/random.h"
@@ -56,7 +55,8 @@ class DhsMaintainer {
   size_t NumRegistrations() const;
 
   /// Structural audit: the registry must hold no empty metric maps or
-  /// item sets (Unregister/Drop prune them eagerly), every registered
+  /// item lists (Unregister/Drop prune them eagerly), every item list
+  /// must be strictly ascending (sorted, no duplicates), every registered
   /// item must place onto a mapped bit or be covered by the §3.5
   /// bit-shift rule, and the underlying client state must pass
   /// DhsClient::AuditFull. Returns OK or Internal naming the violation.
@@ -64,9 +64,14 @@ class DhsMaintainer {
 
  private:
   DhsClient* client_;
-  // node -> metric -> item hashes.
-  std::unordered_map<uint64_t,
-                     std::map<uint64_t, std::unordered_set<uint64_t>>>
+  // node -> metric -> item hashes, the hashes kept as a sorted,
+  // duplicate-free vector: 8 bytes per registration plus growth slack,
+  // where a hash set spent a ~40-byte node and a bucket on each. The
+  // outer maps fix the order RefreshRound visits (node, metric) batches
+  // in, and with it which refresh messages a seeded fault plan hits;
+  // the order of items inside a batch does not matter, because
+  // InsertBatch regroups them by bit and vector.
+  std::unordered_map<uint64_t, std::map<uint64_t, std::vector<uint64_t>>>
       registry_;
 };
 

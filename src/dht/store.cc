@@ -1,7 +1,9 @@
 #include "dht/store.h"
 
 #include <map>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/bit_util.h"
@@ -36,10 +38,16 @@ void NodeStore::LowerWatermark(uint64_t expires_at) {
   }
 }
 
-void NodeStore::NotePackedExpiry(const GroupKey& key, uint16_t vector,
-                                 uint64_t expires_at) {
+void NodeStore::NotePackedExpiry(const GroupKey& key, uint64_t expires_at) {
   if (expires_at == kNoExpiry) return;
-  packed_heap_.push(PackedExpiry{expires_at, key.first, vector, key.second});
+  if (noted_ == nullptr) noted_ = std::make_unique<NotedMap>();
+  auto [noted, inserted] = noted_->try_emplace(key, expires_at);
+  if (!inserted) {
+    // The group's entry already fires no later than this deadline.
+    if (expires_at >= noted->second) return;
+    noted->second = expires_at;
+  }
+  packed_heap_.push(PackedExpiry{expires_at, key.first, key.second});
   LowerWatermark(expires_at);
 }
 
@@ -81,9 +89,15 @@ bool NodeStore::FindPacked(const StoreKey& key, GroupMap::iterator* group,
 
 void NodeStore::ErasePacked(GroupMap::iterator group, TupleIt tuple) {
   group->second.erase(tuple);
-  if (group->second.empty()) groups_.erase(group);
+  if (group->second.empty()) EraseGroup(group);
   --packed_records_;
   size_bytes_ -= StoreKey::kDhsEncodedBytes;
+}
+
+NodeStore::GroupMap::iterator NodeStore::EraseGroup(
+    GroupMap::iterator group) {
+  if (noted_ != nullptr) noted_->erase(group->first);
+  return groups_.erase(group);
 }
 
 NodeStore::RawMap::iterator NodeStore::EraseRaw(RawMap::iterator it) {
@@ -102,11 +116,10 @@ void NodeStore::Put(uint64_t dht_key, StoreKey app_key, std::string value,
     std::vector<Tuple>& tuples = groups_[group_key];
     auto pos = FindTuple(tuples, vector);
     if (pos != tuples.end() && pos->vector == vector) {
-      // Only a strictly earlier deadline needs a fresh heap entry; a
-      // refresh to a later one leaves the old entry to be skipped when
-      // popped (lazy deletion).
+      // Only a strictly earlier deadline can undercut the group's noted
+      // one; a refresh to a later deadline stays covered by it.
       if (expires_at < pos->expires_at) {
-        NotePackedExpiry(group_key, vector, expires_at);
+        NotePackedExpiry(group_key, expires_at);
       }
       pos->dht_key = dht_key;
       pos->expires_at = expires_at;
@@ -115,7 +128,7 @@ void NodeStore::Put(uint64_t dht_key, StoreKey app_key, std::string value,
     InsertTuple(tuples, pos, Tuple{dht_key, expires_at, vector});
     ++packed_records_;
     size_bytes_ += StoreKey::kDhsEncodedBytes;
-    NotePackedExpiry(group_key, vector, expires_at);
+    NotePackedExpiry(group_key, expires_at);
     return;
   }
   auto [it, inserted] = raw_.try_emplace(std::move(app_key));
@@ -169,27 +182,43 @@ bool NodeStore::Erase(const StoreKey& app_key) {
   return true;
 }
 
-// A heap entry is stale when its record was refreshed to a later
-// deadline, erased, or already reaped via a duplicate entry. A record
-// refreshed to a later finite deadline is re-registered there: the
-// popped entry was its only guaranteed heap registration, and without
-// one it would never be reaped.
+// Only the entry at a group's noted deadline stands for the group; any
+// other is stale (the group was re-noted lower, reaped through another
+// entry, or erased) and is dropped. The standing entry reaps every due
+// tuple of its group and re-notes the group at its new earliest finite
+// deadline: without that entry the group would never be reaped again.
 size_t NodeStore::ExpirePacked(uint64_t now) {
   size_t dropped = 0;
   while (!packed_heap_.empty() && packed_heap_.top().expires_at <= now) {
     const PackedExpiry entry = packed_heap_.top();
     packed_heap_.pop();
-    auto group = groups_.find(GroupKey{entry.metric, entry.bit});
-    if (group == groups_.end()) continue;
-    auto tuple = FindTuple(group->second, entry.vector);
-    if (tuple == group->second.end() || tuple->vector != entry.vector) {
+    const GroupKey key{entry.metric, entry.bit};
+    auto noted = noted_->find(key);
+    if (noted == noted_->end() || noted->second != entry.expires_at) {
       continue;
     }
-    if (tuple->expires_at <= now) {
-      ErasePacked(group, tuple);
-      ++dropped;
-    } else if (tuple->expires_at != kNoExpiry) {
-      NotePackedExpiry(group->first, entry.vector, tuple->expires_at);
+    auto group = groups_.find(key);
+    CHECK(group != groups_.end())
+        << ": noted expiry outlived its group: metric " << key.first
+        << ", bit " << static_cast<int>(key.second);
+    std::vector<Tuple>& tuples = group->second;
+    auto kept = std::remove_if(
+        tuples.begin(), tuples.end(),
+        [now](const Tuple& t) { return t.expires_at <= now; });
+    const size_t reaped = static_cast<size_t>(tuples.end() - kept);
+    tuples.erase(kept, tuples.end());
+    uint64_t earliest = kNoExpiry;
+    for (const Tuple& t : tuples) earliest = std::min(earliest, t.expires_at);
+    packed_records_ -= reaped;
+    size_bytes_ -= reaped * StoreKey::kDhsEncodedBytes;
+    dropped += reaped;
+    if (tuples.empty()) {
+      EraseGroup(group);
+    } else if (earliest == kNoExpiry) {
+      noted_->erase(noted);
+    } else {
+      noted->second = earliest;
+      packed_heap_.push(PackedExpiry{earliest, key.first, key.second});
     }
   }
   return dropped;
@@ -221,6 +250,7 @@ void NodeStore::AdoptTuples(const GroupKey& key, const Tuple* first,
   if (first == last) return;
   std::vector<Tuple>& tuples = groups_[key];
   const size_t before = tuples.size();
+  uint64_t earliest = kNoExpiry;
   for (const Tuple* t = first; t != last; ++t) {
     auto pos = FindTuple(tuples, t->vector);
     if (pos != tuples.end() && pos->vector == t->vector) {
@@ -228,8 +258,9 @@ void NodeStore::AdoptTuples(const GroupKey& key, const Tuple* first,
     } else {
       InsertTuple(tuples, pos, *t);
     }
-    NotePackedExpiry(key, t->vector, t->expires_at);
+    earliest = std::min(earliest, t->expires_at);
   }
+  NotePackedExpiry(key, earliest);
   packed_records_ += tuples.size() - before;
   size_bytes_ += (tuples.size() - before) * StoreKey::kDhsEncodedBytes;
 }
@@ -286,6 +317,7 @@ void NodeStore::Adopt(StoreEntry&& entry) {
 
 void NodeStore::Clear() {
   groups_.clear();
+  noted_.reset();
   packed_records_ = 0;
   raw_.clear();
   packed_heap_ = {};
@@ -334,49 +366,97 @@ Status NodeStore::AuditFull(uint64_t now) const {
     return Status::Internal(os.str());
   }
 
-  // Expiry tracking. Drain copies of the heaps into the per-key minimum
-  // deadline they know about. Stale entries (lower than the record's
-  // current deadline, or for erased keys) are legal — the heaps are a
-  // lazy lower bound — but every finite-TTL record MUST be covered by
-  // an entry at or below its deadline, or ExpireUntil would never reap
-  // it and MinExpiry() could overshoot the true earliest expiry.
-  std::map<StoreKey, uint64_t> heap_min;
-  const auto note = [&heap_min](StoreKey key, uint64_t expires_at) {
-    auto [it, inserted] = heap_min.try_emplace(std::move(key), expires_at);
-    if (!inserted && expires_at < it->second) it->second = expires_at;
-  };
+  // Packed expiry tracking, per group. Stale heap entries (below the
+  // noted deadline, or for groups since erased) are legal — the heap is
+  // a lazy lower bound — but every group holding a finite deadline MUST
+  // be noted at or below its earliest one, with an entry at exactly the
+  // noted deadline: ExpireUntil skips every other entry as stale, so
+  // without it the group would never be reaped and MinExpiry() could
+  // overshoot. Due-but-unreaped tuples count too: their reaping depends
+  // on the same entry.
+  std::set<std::tuple<uint64_t, uint8_t, uint64_t>> packed_entries;
   for (auto heap = packed_heap_; !heap.empty(); heap.pop()) {
     const PackedExpiry& entry = heap.top();
-    note(StoreKey::Dhs(entry.metric, entry.bit, entry.vector),
-         entry.expires_at);
+    packed_entries.emplace(entry.metric, entry.bit, entry.expires_at);
   }
-  for (auto heap = raw_heap_; !heap.empty(); heap.pop()) {
-    note(heap.top().key, heap.top().expires_at);
+  const auto group_name = [](const GroupKey& key) {
+    return "packed group (metric " + std::to_string(key.first) + ", bit " +
+           std::to_string(key.second) + ")";
+  };
+  const NotedMap no_noted;
+  const NotedMap& noted_map = noted_ != nullptr ? *noted_ : no_noted;
+  if (!packed_heap_.empty() && noted_ == nullptr) {
+    return Status::Internal("packed expiry heap is non-empty but no group "
+                            "is noted");
+  }
+  for (const auto& [key, deadline] : noted_map) {
+    if (groups_.find(key) == groups_.end()) {
+      return Status::Internal(
+          group_name(key) + " is gone but keeps noted deadline " +
+          std::to_string(deadline) +
+          " (a re-created group would inherit it and never be reaped)");
+    }
+    if (packed_entries.count({key.first, key.second, deadline}) == 0) {
+      return Status::Internal(group_name(key) + " is noted at " +
+                              std::to_string(deadline) +
+                              " but the expiry heap holds no entry there");
+    }
   }
   uint64_t true_min = kNoExpiry;
-  Status violation = Status::OK();
-  // ForEach skips records already due (lazily reaped on access).
-  ForEach(now, [&](const StoreKey& key, const StoreRecord& rec) {
-    if (!violation.ok() || rec.expires_at == kNoExpiry) return;
+  for (const auto& [key, tuples] : groups_) {
+    uint64_t earliest = kNoExpiry;
+    for (const Tuple& t : tuples) earliest = std::min(earliest, t.expires_at);
+    if (earliest == kNoExpiry) continue;
+    true_min = std::min(true_min, earliest);
+    auto noted = noted_map.find(key);
+    if (noted == noted_map.end()) {
+      return Status::Internal(
+          group_name(key) +
+          " holds a finite deadline but is not noted (would never be "
+          "reaped): earliest expires_at=" +
+          std::to_string(earliest));
+    }
+    if (noted->second > earliest) {
+      std::ostringstream os;
+      os << group_name(key) << " noted deadline " << noted->second
+         << " overshoots its earliest tuple deadline " << earliest;
+      return Status::Internal(os.str());
+    }
+  }
+
+  // Raw expiry tracking, per record: drain a copy of the heap into the
+  // per-key minimum deadline it knows about. Every live finite-TTL
+  // record must be covered by an entry at or below its deadline.
+  std::map<StoreKey, uint64_t> heap_min;
+  for (auto heap = raw_heap_; !heap.empty(); heap.pop()) {
+    auto [it, inserted] =
+        heap_min.try_emplace(heap.top().key, heap.top().expires_at);
+    if (!inserted && heap.top().expires_at < it->second) {
+      it->second = heap.top().expires_at;
+    }
+  }
+  for (const auto& [key, rec] : raw_) {
+    // Records already due are lazily reaped on access.
+    if (rec.expires_at <= now || rec.expires_at == kNoExpiry) continue;
     true_min = std::min(true_min, rec.expires_at);
     auto it = heap_min.find(key);
     if (it == heap_min.end()) {
-      violation = Status::Internal(
+      return Status::Internal(
           "finite-TTL record has no expiry-heap entry (would never be "
           "reaped): expires_at=" +
           std::to_string(rec.expires_at));
-    } else if (it->second > rec.expires_at) {
+    }
+    if (it->second > rec.expires_at) {
       std::ostringstream os;
       os << "expiry-heap entry overshoots its record: heap min "
          << it->second << " > record deadline " << rec.expires_at;
-      violation = Status::Internal(os.str());
+      return Status::Internal(os.str());
     }
-  });
-  if (!violation.ok()) return violation;
+  }
   if (MinExpiry() > true_min) {
     std::ostringstream os;
     os << "MinExpiry() " << MinExpiry()
-       << " overshoots true earliest live expiry " << true_min;
+       << " overshoots true earliest expiry " << true_min;
     return Status::Internal(os.str());
   }
   return Status::OK();

@@ -14,7 +14,9 @@
 // and exactly the layout a metric query reads. Raw records keep an
 // ordered map. Expiry is tracked by a lazy min-heap per section so that
 // advancing the virtual clock touches only stores whose earliest record
-// is actually due, instead of rescanning every record.
+// is actually due, instead of rescanning every record. The packed heap
+// holds one entry per (metric, bit) group rather than per tuple: a
+// popped entry reaps every due tuple of its group at once.
 
 #ifndef DHS_DHT_STORE_H_
 #define DHS_DHT_STORE_H_
@@ -23,9 +25,11 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <queue>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -246,7 +250,7 @@ class NodeStore {
       packed_records_ -= moved.size();
       size_bytes_ -= moved.size() * StoreKey::kDhsEncodedBytes;
       dest.AdoptTuples(g->first, moved.data(), moved.data() + moved.size());
-      g = tuples.empty() ? groups_.erase(g) : std::next(g);
+      g = tuples.empty() ? EraseGroup(g) : std::next(g);
     }
     for (auto it = raw_.begin(); it != raw_.end();) {
       if (predicate(it->second.dht_key)) {
@@ -283,8 +287,11 @@ class NodeStore {
   /// against the maintained copies: the packed layout (groups non-empty,
   /// vectors strictly ascending, record count), byte accounting
   /// (SizeBytes() equals the recomputed key+value total) and expiry
-  /// tracking (every record with a finite deadline has a heap entry at or
-  /// below that deadline, so MinExpiry() is a sound lower bound).
+  /// tracking. Every packed group holding a finite deadline (due or not)
+  /// is noted at or below its earliest one, with a heap entry at exactly
+  /// the noted deadline; no group that is gone keeps a noted deadline;
+  /// every live raw record with a finite deadline has a heap entry at or
+  /// below it; so MinExpiry() is a sound lower bound.
   /// O(records + heap); intended for audits and tests, not the hot path.
   /// Returns OK or Internal with a description of the first violation.
   [[nodiscard]] Status AuditFull(uint64_t now) const;
@@ -308,13 +315,24 @@ class NodeStore {
   using GroupKey = std::pair<uint64_t, uint8_t>;
   /// Tuples sorted by strictly ascending vector; never empty.
   using GroupMap = std::map<GroupKey, std::vector<Tuple>>;
+  struct GroupKeyHash {
+    size_t operator()(const GroupKey& key) const noexcept {
+      const uint64_t h = key.first * 0x9E3779B97F4A7C15ULL + key.second;
+      return static_cast<size_t>(h ^ (h >> 29));
+    }
+  };
+  /// The deadline each group's expiry is noted at: at or below the
+  /// group's earliest finite deadline, with a packed-heap entry at
+  /// exactly that value. Only groups that hold (or held) a finite
+  /// deadline appear, and the map is allocated at the first one, so a
+  /// world without expiry pays nothing for it, per group or per store.
+  using NotedMap = std::unordered_map<GroupKey, uint64_t, GroupKeyHash>;
   /// Raw-keyed records; every key is a raw StoreKey.
   using RawMap = std::map<StoreKey, StoreRecord>;
 
   struct PackedExpiry {
     uint64_t expires_at = 0;
     uint64_t metric = 0;
-    uint16_t vector = 0;
     uint8_t bit = 0;
   };
   struct RawExpiry {
@@ -366,6 +384,10 @@ class NodeStore {
   /// Erases one tuple, dropping its group once empty.
   void ErasePacked(GroupMap::iterator group, TupleIt tuple);
 
+  /// Erases an (emptied) group together with its noted deadline, so a
+  /// group later re-created under the same key starts un-noted.
+  GroupMap::iterator EraseGroup(GroupMap::iterator group);
+
   /// Erases `it`, maintaining the byte accounting. Stale heap entries
   /// are left behind and skipped when popped.
   RawMap::iterator EraseRaw(RawMap::iterator it);
@@ -375,10 +397,12 @@ class NodeStore {
   void AdoptTuples(const GroupKey& key, const Tuple* first,
                    const Tuple* last);
 
-  /// Records a (possibly new) finite expiry in the matching heap and
+  /// Records that group `key` holds a tuple expiring at `expires_at`:
+  /// pushes a heap entry (and the bound watermark down) only when the
+  /// deadline is finite and below the one the group is noted at.
+  void NotePackedExpiry(const GroupKey& key, uint64_t expires_at);
+  /// Records a (possibly new) finite raw expiry in the raw heap and
   /// pushes the bound watermark down.
-  void NotePackedExpiry(const GroupKey& key, uint16_t vector,
-                        uint64_t expires_at);
   void NoteRawExpiry(const StoreKey& key, uint64_t expires_at);
   void LowerWatermark(uint64_t expires_at);
 
@@ -386,6 +410,7 @@ class NodeStore {
   size_t ExpireRaw(uint64_t now);
 
   GroupMap groups_;
+  std::unique_ptr<NotedMap> noted_;  // set whenever packed_heap_ is non-empty
   size_t packed_records_ = 0;
   RawMap raw_;
   ExpiryHeap<PackedExpiry> packed_heap_;

@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -204,6 +205,35 @@ TEST_F(DeadlockTest, UnlockByNonHolderIsFlagged) {
   const std::string report = Report([&] { mu.Unlock(); });
   EXPECT_NE(report.find("does not hold"), std::string::npos) << report;
   EXPECT_NE(report.find("dl_unheld"), std::string::npos) << report;
+}
+
+TEST_F(DeadlockTest, HeldStackOverflowNamesTheLocksHeld) {
+  std::deque<Mutex> held;
+  held.emplace_back("dl_cap_first");
+  while (held.size() < sync_internal::kMaxHeldLocks) {
+    held.emplace_back("dl_cap");
+  }
+  Mutex one_more{"dl_cap_overflow"};
+  const auto lock_all = [&held]() NO_THREAD_SAFETY_ANALYSIS {
+    for (Mutex& mu : held) mu.Lock();
+  };
+  const auto unlock_all = [&held]() NO_THREAD_SAFETY_ANALYSIS {
+    for (auto it = held.rbegin(); it != held.rend(); ++it) it->Unlock();
+  };
+  lock_all();
+  const std::string report = Report(
+      [&one_more]() NO_THREAD_SAFETY_ANALYSIS { one_more.Lock(); });
+  unlock_all();
+  EXPECT_NE(report.find("dl_cap_overflow"), std::string::npos) << report;
+  EXPECT_NE(report.find("dl_cap_first"), std::string::npos) << report;
+  EXPECT_NE(report.find("holding 32 locks"), std::string::npos) << report;
+  // The report fired before the native lock was touched.
+  const auto relock = [&one_more]() NO_THREAD_SAFETY_ANALYSIS {
+    const bool locked = one_more.TryLock();
+    if (locked) one_more.Unlock();
+    return locked;
+  };
+  EXPECT_TRUE(relock());
 }
 
 TEST_F(DeadlockTest, ContentionCountersSurfaceInMetricsDump) {

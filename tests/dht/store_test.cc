@@ -420,12 +420,88 @@ TEST(NodeStoreDifferentialTest, RandomOpsMatchNaiveModel) {
   }
 }
 
-// Resident-size guard for the packed layout: 100k DHS tuples in groups
-// of 20 vectors arriving in random order (the served worlds' shape,
-// with no expiry) must cost at most 40 heap bytes each.
-TEST(NodeStoreTest, PackedRecordsStaySmallOnTheHeap) {
+// Regression: a (metric, bit) group emptied one way and later re-created
+// must be noted afresh. A noted deadline left over from the old group
+// would cover the new tuple with no heap entry standing for it, and the
+// tuple would never be reaped. Each way of emptying is tried with the old
+// group's heap entry popped before and after the re-creation.
+TEST(NodeStoreTest, RecreatedGroupIsReapedAfterEachWayOfEmptying) {
+  enum Emptied { kMigrateIf, kLazyGet, kExpireUntil };
+  for (Emptied how : {kMigrateIf, kLazyGet, kExpireUntil}) {
+    for (bool pop_stale_first : {true, false}) {
+      SCOPED_TRACE("emptied by " +
+                   std::string(how == kMigrateIf  ? "MigrateIf"
+                               : how == kLazyGet ? "Get"
+                                                 : "ExpireUntil") +
+                   (pop_stale_first ? ", stale entry popped first" : ""));
+      NodeStore store;
+      NodeStore other;
+      const StoreKey key = StoreKey::Dhs(7, 3, 11);
+      const auto audit = [&](uint64_t now) {
+        const Status s = store.AuditFull(now);
+        EXPECT_TRUE(s.ok()) << "at now=" << now << ": " << s.ToString();
+        const Status o = other.AuditFull(now);
+        EXPECT_TRUE(o.ok()) << "other at now=" << now << ": " << o.ToString();
+      };
+      store.Put(5, key, std::string(), 100);
+      audit(0);
+      switch (how) {
+        case kMigrateIf:
+          store.MigrateIf([](uint64_t) { return true; }, other);
+          audit(0);
+          EXPECT_EQ(other.NumRecords(), 1u);
+          break;
+        case kLazyGet:
+          EXPECT_EQ(store.Get(key, 100), nullptr);
+          audit(100);
+          break;
+        case kExpireUntil:
+          EXPECT_EQ(store.ExpireUntil(100), 1u);
+          audit(100);
+          break;
+      }
+      EXPECT_EQ(store.NumRecords(), 0u);
+      if (pop_stale_first) {
+        EXPECT_EQ(store.ExpireUntil(150), 0u);
+        audit(150);
+      }
+      store.Put(6, key, std::string(), 200);
+      audit(150);
+      EXPECT_LE(store.MinExpiry(), 200u);
+      EXPECT_EQ(store.ExpireUntil(199), 0u);
+      audit(199);
+      EXPECT_EQ(store.NumRecords(), 1u);
+      EXPECT_EQ(store.ExpireUntil(200), 1u);
+      audit(200);
+      EXPECT_EQ(store.NumRecords(), 0u);
+      EXPECT_EQ(store.MinExpiry(), kNoExpiry);
+      if (how == kMigrateIf) {
+        EXPECT_EQ(other.ExpireUntil(100), 1u);
+        audit(200);
+        EXPECT_EQ(other.NumRecords(), 0u);
+      }
+    }
+  }
+}
+
 #if defined(__GLIBC__) && defined(__GLIBC_PREREQ)
 #if __GLIBC_PREREQ(2, 33)
+#define DHS_STORE_TEST_HAS_MALLINFO2 1
+#endif
+#endif
+
+#if defined(DHS_STORE_TEST_HAS_MALLINFO2)
+size_t HeapBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;  // arena + mmapped chunks
+}
+
+/// Heap bytes per record of one store holding 100k DHS tuples in groups
+/// of 20 vectors, put in random order, each with deadline expiry(rng);
+/// negative when mallinfo2 cannot see the heap (a sanitizer's allocator
+/// makes the delta meaningless).
+template <typename Expiry>
+double PackedHeapBytesPerRecord(Expiry&& expiry) {
   constexpr int kVectors = 20;
   constexpr int kRecords = 100000;
   std::vector<StoreKey> keys;
@@ -439,35 +515,54 @@ TEST(NodeStoreTest, PackedRecordsStaySmallOnTheHeap) {
   for (size_t i = keys.size() - 1; i > 0; --i) {
     std::swap(keys[i], keys[rng.UniformU64(i + 1)]);
   }
-  const auto heap_bytes = [] {
-    const struct mallinfo2 info = mallinfo2();
-    return info.uordblks + info.hblkhd;  // arena + mmapped chunks
-  };
-  // A heap that mallinfo2 cannot see (a sanitizer's allocator) makes the
-  // delta meaningless.
-  const size_t probe_before = heap_bytes();
+  const size_t probe_before = HeapBytes();
   auto* probe = new std::vector<char>(1 << 20);
-  const bool visible = heap_bytes() >= probe_before + (1 << 20);
+  const bool visible = HeapBytes() >= probe_before + (1 << 20);
   delete probe;
-  if (!visible) GTEST_SKIP() << "mallinfo2 does not see this heap";
+  if (!visible) return -1.0;
 
   auto* store = new NodeStore;
-  const size_t before = heap_bytes();
+  const size_t before = HeapBytes();
   for (const StoreKey& key : keys) {
-    store->Put(rng.Next(), key, std::string(), kNoExpiry);
+    const uint64_t dht_key = rng.Next();
+    store->Put(dht_key, key, std::string(), expiry(rng));
   }
-  const size_t after = heap_bytes();
-  ASSERT_EQ(store->NumRecords(), static_cast<size_t>(kRecords));
+  const size_t after = HeapBytes();
+  EXPECT_EQ(store->NumRecords(), static_cast<size_t>(kRecords));
+  const Status audit = store->AuditFull(0);
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  delete store;
+  return static_cast<double>(after - before) / static_cast<double>(kRecords);
+}
+#endif
+
+// Resident-size guard for the packed layout: 100k DHS tuples in groups
+// of 20 vectors arriving in random order (the served worlds' shape,
+// with no expiry) must cost at most 40 heap bytes each.
+TEST(NodeStoreTest, PackedRecordsStaySmallOnTheHeap) {
+#if defined(DHS_STORE_TEST_HAS_MALLINFO2)
   const double per_record =
-      static_cast<double>(after - before) / static_cast<double>(kRecords);
+      PackedHeapBytesPerRecord([](Rng&) { return kNoExpiry; });
+  if (per_record < 0) GTEST_SKIP() << "mallinfo2 does not see this heap";
   EXPECT_LE(per_record, 40.0);
   RecordProperty("heap_bytes_per_record", std::to_string(per_record));
-  delete store;
 #else
   GTEST_SKIP() << "mallinfo2 needs glibc 2.33";
 #endif
+}
+
+// The same tuples, each with a finite deadline in [1000, 1064): expiry
+// is tracked per (metric, bit) group, so they must cost at most 45 heap
+// bytes each (about 40; a heap entry per tuple made it about 60).
+TEST(NodeStoreTest, PackedRecordsWithTtlStaySmallOnTheHeap) {
+#if defined(DHS_STORE_TEST_HAS_MALLINFO2)
+  const double per_record = PackedHeapBytesPerRecord(
+      [](Rng& rng) { return 1000 + rng.UniformU64(64); });
+  if (per_record < 0) GTEST_SKIP() << "mallinfo2 does not see this heap";
+  EXPECT_LE(per_record, 45.0);
+  RecordProperty("heap_bytes_per_record", std::to_string(per_record));
 #else
-  GTEST_SKIP() << "mallinfo2 needs glibc";
+  GTEST_SKIP() << "mallinfo2 needs glibc 2.33";
 #endif
 }
 
