@@ -66,7 +66,9 @@ inline void AppendBE64(std::string& out, uint64_t x) {
 /// Reads a little-endian integer from p (any alignment, any host).
 constexpr uint16_t LoadLE16(const char* p) {
   uint16_t x = 0;
-  for (int i = 1; i >= 0; --i) x = (x << 8) | static_cast<uint8_t>(p[i]);
+  for (int i = 1; i >= 0; --i) {
+    x = static_cast<uint16_t>((x << 8) | static_cast<uint8_t>(p[i]));
+  }
   return x;
 }
 constexpr uint32_t LoadLE32(const char* p) {
@@ -83,7 +85,9 @@ constexpr uint64_t LoadLE64(const char* p) {
 /// Reads a big-endian integer from p (any alignment, any host).
 constexpr uint16_t LoadBE16(const char* p) {
   uint16_t x = 0;
-  for (int i = 0; i < 2; ++i) x = (x << 8) | static_cast<uint8_t>(p[i]);
+  for (int i = 0; i < 2; ++i) {
+    x = static_cast<uint16_t>((x << 8) | static_cast<uint8_t>(p[i]));
+  }
   return x;
 }
 constexpr uint32_t LoadBE32(const char* p) {

@@ -28,9 +28,10 @@ CheckFailureHandler SetCheckFailureHandler(CheckFailureHandler handler) {
 
 namespace check_internal {
 
-FailureStream::FailureStream(const char* file, int line, const char* prefix)
+FailureStream::FailureStream(const char* file, int line, const char* prefix,
+                             const std::string& detail)
     : file_(file), line_(line) {
-  message_ << prefix;
+  message_ << prefix << detail;
 }
 
 FailureStream::~FailureStream() noexcept(false) {

@@ -125,7 +125,7 @@ bool FindPath(const Registry& registry, const Mutex* from, const Mutex* to,
 /// normally (the default handler aborts, the test handler throws).
 void FireDeadlockReport(const Site& site, const std::string& message) {
   check_internal::FailureStream(site.file, static_cast<int>(site.line),
-                                "DEADLOCK: ")
+                                "DEADLOCK")
       << message;
 }
 
@@ -245,7 +245,7 @@ void PreRelease(const Mutex* mu) {
   }
   // Unlocking a mutex this thread never locked is a usage bug severe
   // enough to flag unconditionally.
-  check_internal::FailureStream(__FILE__, __LINE__, "DEADLOCK: ")
+  check_internal::FailureStream(__FILE__, __LINE__, "DEADLOCK")
       << "Mutex \"" << mu->name()
       << "\" unlocked by a thread that does not hold it";
 }
@@ -259,7 +259,7 @@ bool HeldByThisThread(const Mutex* mu) {
 void AssertHeldFailure(const Mutex* mu, const std::source_location& loc) {
   check_internal::FailureStream(loc.file_name(),
                                 static_cast<int>(loc.line()),
-                                "DEADLOCK: ")
+                                "DEADLOCK")
       << "AssertHeld: Mutex \"" << mu->name()
       << "\" is not held by this thread";
 }

@@ -3,10 +3,10 @@
 // marker trait.
 //
 // The simulator core is single-threaded by design (dht/network.h); the
-// parallelism the repo does use — the multi-trial experiment runner and
-// the sharded engine's pinned workers in common/thread_pool.h — shares
-// very little mutable state between threads. This header makes those
-// facts machine-checkable along two axes:
+// parallelism the repo does use — the multi-trial experiment runner in
+// common/thread_pool.h — shares very little mutable state between
+// threads. This header makes those facts machine-checkable along two
+// axes:
 //
 //   * Static: Mutex / MutexLock / CondVar wrap the std primitives and
 //     carry Clang `capability` attributes, so any code that does share

@@ -88,8 +88,7 @@ struct DhsConfig {
   /// kNoExpiry disables aging.
   uint64_t ttl_ticks = kNoExpiry;
 
-  /// Frontier cache for sLL/HLL counting (honoured by both DhsClient
-  /// and the sharded DhsFrontDoor): remember the raw observables of
+  /// Frontier cache for sLL/HLL counting (DhsClient): remember the raw observables of
   /// the last complete count per metric and start the next high -> low
   /// scan at the cached max rho instead of MaxBit — sound because
   /// soft-state decay and node failures can only *lower* a bitmap's

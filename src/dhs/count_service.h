@@ -6,7 +6,7 @@
 // layer: answering a count means executing the paper's probe walks
 // through a DhsClient, and src/dht/ sits below src/dhs/ in the layering
 // DAG (ServeFrame in dht/transport.cc rejects kCountRequest for exactly
-// this reason). A deployment stacks one DhsCountService per front-door
+// this reason). A deployment stacks one DhsCountService per entry
 // node on top of whatever Transport the node speaks; remote callers
 // encode a kCountRequest, ship it over the wire, and decode estimates
 // from the kCountResponse without holding any DHS state themselves.

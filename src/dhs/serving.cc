@@ -53,16 +53,6 @@ void LimTuner::Observe(int target, bool degraded) {
   lim_ = std::clamp(lim_ + (gap > 0 ? step : -step), floor_, ceiling_);
 }
 
-StatusOr<DhsServing> DhsServing::Create(DhsFrontDoor* front_door,
-                                        const DhsServingConfig& config) {
-  if (front_door == nullptr) {
-    return Status::InvalidArgument("front door must not be null");
-  }
-  Status s = config.Validate();
-  if (!s.ok()) return s;
-  return DhsServing(front_door, nullptr, config);
-}
-
 StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
                                         const DhsServingConfig& config) {
   if (client == nullptr) {
@@ -70,24 +60,17 @@ StatusOr<DhsServing> DhsServing::Create(DhsClient* client,
   }
   Status s = config.Validate();
   if (!s.ok()) return s;
-  return DhsServing(nullptr, client, config);
+  return DhsServing(client, config);
 }
 
-DhsServing::DhsServing(DhsFrontDoor* door, DhsClient* client,
-                       const DhsServingConfig& config)
-    : door_(door),
-      client_(client),
+DhsServing::DhsServing(DhsClient* client, const DhsServingConfig& config)
+    : client_(client),
       config_(config),
       tune_lim_(config.tune_lim),
-      tuner_(/*initial=*/(door != nullptr ? door->config() : client->config())
-                 .lim,
-             config.tuner_floor,
+      tuner_(/*initial=*/client->config().lim, config.tuner_floor,
              /*ceiling=*/config.tuner_ceiling > 0
                  ? std::max(config.tuner_ceiling, config.tuner_floor)
-                 : std::max((door != nullptr ? door->config()
-                                             : client->config())
-                                .max_lim,
-                            config.tuner_floor),
+                 : std::max(client->config().max_lim, config.tuner_floor),
              config.tuner_gain) {}
 
 void DhsServing::MaybeAttachMetrics() {
@@ -134,21 +117,16 @@ Status DhsServing::Flush(Rng& rng) {
   }
   // Inserts before counts: a flush's counts observe its inserts, the
   // same order a caller issuing the requests back to back would get.
-  const Status insert_status = FlushInserts(rng);
+  FlushInserts(rng);
   FlushCounts(rng);
   pending_inserts_.clear();
   pending_counts_.clear();
-  return insert_status;
+  return Status::OK();
 }
 
-Status DhsServing::FlushInserts(Rng& rng) {
-  if (pending_inserts_.empty()) return Status::OK();
-  const bool pipelined = config_.pipeline_inserts && door_ != nullptr &&
-                         pending_inserts_.size() > 1;
-
-  // Every insert batch lands in the wave log as its own entry: the
-  // replay path executes them back to back, which is byte-identical to
-  // the merged execution (front_door.h CompiledInsertBatch).
+void DhsServing::FlushInserts(Rng& rng) {
+  // Every insert batch is its own logged wave, run in submission order:
+  // exactly what a replay through a plain client does.
   for (const PendingInsert& p : pending_inserts_) {
     ServingWave wave;
     wave.kind = ServingWave::kInsertWave;
@@ -157,75 +135,12 @@ Status DhsServing::FlushInserts(Rng& rng) {
     wave.hashes = p.hashes;
     wave_log_.push_back(std::move(wave));
     metrics_.RecordInsertInvalidation();
-  }
 
-  if (!pipelined) {
-    for (const PendingInsert& p : pending_inserts_) {
-      auto result =
-          door_ != nullptr
-              ? door_->InsertBatch(p.origin, p.metric_id, p.hashes, rng)
-              : client_->InsertBatch(p.origin, p.metric_id, p.hashes, rng);
-      ++stats_.insert_waves;
-      metrics_.RecordInsertWave();
-      insert_results_.emplace(p.ticket, std::move(result));
-    }
-    return Status::OK();
+    auto result = client_->InsertBatch(p.origin, p.metric_id, p.hashes, rng);
+    ++stats_.insert_waves;
+    metrics_.RecordInsertWave();
+    insert_results_.emplace(p.ticket, std::move(result));
   }
-
-  // Pipelined hand-off: compile every batch up front (same RNG draws,
-  // same order as sequential execution), run ONE engine batch over the
-  // merged kPut ops, then fold each batch's slice of outcomes back
-  // into its own report.
-  struct Compiled {
-    size_t pending_index;
-    CompiledInsertBatch batch;
-    size_t op_offset = 0;
-  };
-  std::vector<Compiled> compiled;
-  compiled.reserve(pending_inserts_.size());
-  std::vector<ShardOp> merged;
-  for (size_t i = 0; i < pending_inserts_.size(); ++i) {
-    const PendingInsert& p = pending_inserts_[i];
-    auto c = door_->CompileInsertBatch(p.origin, p.metric_id, p.hashes, rng);
-    if (!c.ok()) {
-      insert_results_.emplace(p.ticket, c.status());
-      continue;
-    }
-    Compiled entry{i, std::move(c.value()), merged.size()};
-    merged.insert(merged.end(), entry.batch.ops.begin(),
-                  entry.batch.ops.end());
-    compiled.push_back(std::move(entry));
-  }
-
-  std::vector<ShardOpOutcome> outcomes;
-  if (!merged.empty()) {
-    auto executed = door_->engine()->ExecuteBatch(merged);
-    if (!executed.ok()) {
-      // Engine-level failure (not a per-op fault): every batch of the
-      // wave fails the same way.
-      for (const Compiled& c : compiled) {
-        insert_results_.emplace(pending_inserts_[c.pending_index].ticket,
-                                executed.status());
-      }
-      return executed.status();
-    }
-    outcomes = std::move(executed.value());
-  }
-  ++stats_.insert_waves;
-  metrics_.RecordInsertWave();
-
-  for (const Compiled& c : compiled) {
-    const PendingInsert& p = pending_inserts_[c.pending_index];
-    DhsCostReport cost;
-    const Status folded = door_->FoldInsertOutcomes(
-        c.batch, outcomes.data() + c.op_offset, c.batch.ops.size(), &cost);
-    if (!folded.ok()) {
-      insert_results_.emplace(p.ticket, folded);
-    } else {
-      insert_results_.emplace(p.ticket, cost);
-    }
-  }
-  return Status::OK();
 }
 
 void DhsServing::FlushCounts(Rng& rng) {
@@ -265,7 +180,7 @@ void DhsServing::RunCountWave(const std::vector<size_t>& group, Rng& rng) {
   wave.waiters = group.size();
   wave_log_.push_back(std::move(wave));
 
-  auto result = BackendCount(head.origin, head.metric_ids, rng, options);
+  auto result = client_->CountMany(head.origin, head.metric_ids, rng, options);
   ++stats_.count_waves;
   stats_.coalesced += group.size() - 1;
   metrics_.RecordCountWave();
@@ -300,7 +215,7 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
     // re-establishes them from a full sweep. Logged so replay mirrors
     // the cache state transition.
     for (uint64_t metric_id : head.metric_ids) {
-      BackendInvalidate(metric_id);
+      client_->InvalidateFrontier(metric_id);
       ++stats_.invalidations;
       ServingWave wave;
       wave.kind = ServingWave::kInvalidate;
@@ -320,37 +235,20 @@ void DhsServing::ObserveCountWave(const PendingCount& head,
   const uint64_t cardinality =
       max_estimate > 0.0 ? static_cast<uint64_t>(std::llround(max_estimate))
                          : 0;
-  const DhsConfig& backend = config();
-  const BitMapping& mapping =
-      door_ != nullptr ? door_->mapping() : client_->mapping();
+  const DhsConfig& client_config = config();
+  const BitMapping& mapping = client_->mapping();
   const double p_miss = config_.tuner_p_miss > 0.0
                             ? config_.tuner_p_miss
-                            : 1.0 - backend.adaptive_confidence;
+                            : 1.0 - client_config.adaptive_confidence;
   const int target = FlatLimTarget(
       static_cast<uint64_t>(network()->NumNodes()), cardinality,
-      mapping.MinBit(), mapping.MaxBit(), backend.m, backend.replication,
-      p_miss, config_.tuner_floor,
+      mapping.MinBit(), mapping.MaxBit(), client_config.m,
+      client_config.replication, p_miss, config_.tuner_floor,
       config_.tuner_ceiling > 0
           ? std::max(config_.tuner_ceiling, config_.tuner_floor)
-          : std::max(backend.max_lim, config_.tuner_floor));
+          : std::max(client_config.max_lim, config_.tuner_floor));
   tuner_.Observe(target, degraded);
   metrics_.RecordLim(tuner_.lim());
-}
-
-StatusOr<DhsClient::MultiCountResult> DhsServing::BackendCount(
-    uint64_t origin, const std::vector<uint64_t>& metric_ids, Rng& rng,
-    const DhsCountOptions& options) {
-  return door_ != nullptr
-             ? door_->CountMany(origin, metric_ids, rng, options)
-             : client_->CountMany(origin, metric_ids, rng, options);
-}
-
-void DhsServing::BackendInvalidate(uint64_t metric_id) {
-  if (door_ != nullptr) {
-    door_->InvalidateFrontier(metric_id);
-  } else {
-    client_->InvalidateFrontier(metric_id);
-  }
 }
 
 StatusOr<DhsClient::MultiCountResult> DhsServing::TakeCount(uint64_t ticket) {
@@ -406,7 +304,7 @@ StatusOr<DhsCostReport> DhsServing::InsertBatch(
 
 void DhsServing::InvalidateMetric(uint64_t metric_id) {
   MaybeAttachMetrics();
-  BackendInvalidate(metric_id);
+  client_->InvalidateFrontier(metric_id);
   ++stats_.invalidations;
   ServingWave wave;
   wave.kind = ServingWave::kInvalidate;
@@ -419,11 +317,7 @@ void DhsServing::InvalidateMetric(uint64_t metric_id) {
 void DhsServing::InvalidateAll() {
   // Ops/test helper; NOT wave-logged (the replay contract covers
   // metric-granular invalidation only).
-  if (door_ != nullptr) {
-    door_->InvalidateAllFrontiers();
-  } else {
-    client_->InvalidateAllFrontiers();
-  }
+  client_->InvalidateAllFrontiers();
 }
 
 }  // namespace dhs

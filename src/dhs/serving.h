@@ -1,36 +1,33 @@
 // High-throughput DHS serving layer: the front-end that turns many
-// client requests into few engine waves.
+// client requests into few probe waves.
 //
 // Callers submit Count / InsertBatch requests as tickets; Flush
-// executes everything pending in one deterministic pass and fans
-// results back out:
+// executes everything pending in one deterministic pass over a
+// DhsClient and fans results back out:
 //
 //   * Coalescing — concurrent counts of the same metric set become ONE
 //     probe wave whose result answers every waiter (hot metrics under
 //     a Zipf-skewed tenant mix are counted once per flush, not once
 //     per request).
-//   * Pipelining — pending insert batches compile to their §3.2 kPut
-//     groups up front and execute as a single engine batch instead of
-//     one interval at a time (sound because kPut ops never read
-//     stores, fault ordinals accumulate across batches, and the
-//     virtual clock is frozen inside a batch — see front_door.h
-//     CompiledInsertBatch).
-//   * Frontier cache — the backend's memoized flat-bit frontier
+//   * Inserts first — pending insert batches run back to back, in
+//     submission order, before the flush's counts, so a flush's counts
+//     observe its inserts.
+//   * Frontier cache — the client's memoized flat-bit frontier
 //     (client.h) answers repeat counts from the cached start bit; the
 //     serving layer closes the invalidation loop, invalidating on
-//     inserts (backend-side), on degraded count waves
+//     inserts (client-side), on degraded count waves
 //     (invalidate_on_fault) and on external signals
 //     (InvalidateMetric, e.g. a maintainer migration).
 //   * Adaptive lim — an online tuner (LimTuner) nudges the count probe
 //     budget toward the eq. 5/6 prediction (lim.h FlatLimTarget) from
-//     observed wave outcomes, passed to the backend as
+//     observed wave outcomes, passed to the client as
 //     DhsCountOptions::lim_override.
 //
 // Headline guarantee: served answers are byte-identical to the
 // unoptimized path under fixed seeds. Every wave is appended to a
 // replayable log (wave_log); replaying the log through a plain
-// DhsClient / DhsFrontDoor with an identically seeded RNG reproduces
-// every estimate, observable and DhsCostReport bit for bit (pinned by
+// DhsClient with an identically seeded RNG reproduces every estimate,
+// observable and DhsCostReport bit for bit (pinned by
 // tests/dhs/serving_test.cc and the audit_sim --serving differential
 // leg).
 
@@ -46,7 +43,6 @@
 #include "common/status.h"
 #include "dhs/client.h"
 #include "dhs/config.h"
-#include "dhs/front_door.h"
 #include "obs/serving_metrics.h"
 
 namespace dhs {
@@ -54,26 +50,23 @@ namespace dhs {
 struct DhsServingConfig {
   /// Merge pending counts of the same metric set into one wave.
   bool coalesce_counts = true;
-  /// Merge pending insert batches into one engine batch (front-door
-  /// backends only; the sequential client has no batch hand-off).
-  bool pipeline_inserts = true;
   /// Invalidate the cached frontier of every metric served by a
   /// degraded count wave (gave_up or failed probes): the degradation
   /// is evidence the world changed under the cache.
   bool invalidate_on_fault = true;
 
   /// Enable the online lim tuner. Off by default: with the tuner off
-  /// the serving layer never overrides the backend's configured lim.
+  /// the serving layer never overrides the client's configured lim.
   bool tune_lim = false;
   /// Fraction of the gap to the eq. 5/6 target closed per observation
   /// (damped so a noisy single wave cannot whipsaw the budget).
   double tuner_gain = 0.5;
-  /// Clamp range for the tuned lim; ceiling 0 means the backend's
+  /// Clamp range for the tuned lim; ceiling 0 means the client's
   /// max_lim.
   int tuner_floor = 1;
   int tuner_ceiling = 0;
   /// Residual miss probability fed to the eq. 5/6 calculator; 0 means
-  /// 1 - backend adaptive_confidence.
+  /// 1 - the client's adaptive_confidence.
   double tuner_p_miss = 0.0;
 
   Status Validate() const;
@@ -112,7 +105,7 @@ class LimTuner {
 };
 
 /// One executed serving decision, in execution order. Replaying the
-/// log against a plain backend (same world, same seed) reproduces the
+/// log against a plain client (same world, same seed) reproduces the
 /// serving layer's answers byte for byte:
 ///   kInsertWave  -> InsertBatch(origin, metric_id, hashes)
 ///   kCountWave   -> CountMany(origin, metric_ids, {lim_override})
@@ -124,16 +117,16 @@ struct ServingWave {
   uint64_t metric_id = 0;             // kInsertWave / kInvalidate
   std::vector<uint64_t> metric_ids;   // kCountWave
   std::vector<uint64_t> hashes;       // kInsertWave
-  int lim_override = 0;               // kCountWave (0 = backend lim)
+  int lim_override = 0;               // kCountWave (0 = client lim)
   size_t waiters = 1;                 // requests answered by this wave
 };
 
 struct ServingStats {
   uint64_t count_requests = 0;
-  uint64_t count_waves = 0;      // backend CountMany calls issued
+  uint64_t count_waves = 0;      // client CountMany calls issued
   uint64_t coalesced = 0;        // count requests served by another's wave
   uint64_t insert_requests = 0;
-  uint64_t insert_waves = 0;     // engine insert batches issued
+  uint64_t insert_waves = 0;     // client InsertBatch calls issued
   uint64_t degraded_waves = 0;   // count waves that gave up / skipped probes
   uint64_t invalidations = 0;    // frontier entries dropped by this layer
   uint64_t flushes = 0;
@@ -141,12 +134,7 @@ struct ServingStats {
 
 class DhsServing {
  public:
-  /// The backend (and its network) must outlive the serving layer.
-  /// Exactly one backend: the sharded front door (full pipelining) or
-  /// the sequential client (pipeline_inserts degrades to sequential
-  /// execution — the client has no batch hand-off).
-  static StatusOr<DhsServing> Create(DhsFrontDoor* front_door,
-                                     const DhsServingConfig& config);
+  /// The client (and its network) must outlive the serving layer.
   static StatusOr<DhsServing> Create(DhsClient* client,
                                      const DhsServingConfig& config);
 
@@ -176,13 +164,9 @@ class DhsServing {
   void InvalidateMetric(uint64_t metric_id);
   void InvalidateAll();
 
-  const DhsConfig& config() const {
-    return door_ != nullptr ? door_->config() : client_->config();
-  }
+  const DhsConfig& config() const { return client_->config(); }
   const DhsServingConfig& serving_config() const { return config_; }
-  DhtNetwork* network() const {
-    return door_ != nullptr ? door_->network() : client_->network();
-  }
+  DhtNetwork* network() const { return client_->network(); }
   const ServingStats& stats() const { return stats_; }
 
   /// The replayable wave log (cleared by the caller between phases so
@@ -199,8 +183,7 @@ class DhsServing {
   size_t PendingInserts() const { return pending_inserts_.size(); }
 
  private:
-  DhsServing(DhsFrontDoor* door, DhsClient* client,
-             const DhsServingConfig& config);
+  DhsServing(DhsClient* client, const DhsServingConfig& config);
 
   struct PendingCount {
     uint64_t ticket;
@@ -214,7 +197,7 @@ class DhsServing {
     std::vector<uint64_t> hashes;
   };
 
-  [[nodiscard]] Status FlushInserts(Rng& rng);
+  void FlushInserts(Rng& rng);
   void FlushCounts(Rng& rng);
   /// Executes one coalesced count wave and fans the result out to
   /// `group` (ticket indices into pending_counts_).
@@ -223,12 +206,6 @@ class DhsServing {
   void ObserveCountWave(const PendingCount& head,
                         const DhsClient::MultiCountResult& result);
 
-  [[nodiscard]] StatusOr<DhsClient::MultiCountResult> BackendCount(
-      uint64_t origin, const std::vector<uint64_t>& metric_ids, Rng& rng,
-      const DhsCountOptions& options);
-  void BackendInvalidate(uint64_t metric_id);
-
-  DhsFrontDoor* door_;   // exactly one of door_ / client_ is set
   DhsClient* client_;
   DhsServingConfig config_;
   bool tune_lim_;

@@ -14,8 +14,6 @@ DhtNetwork::DhtNetwork(const OverlayConfig& config)
   if (name_hasher_ == nullptr) {
     name_hasher_ = MakeHasher("md4");
   }
-  shard_plan_.id_bits = space_.bits();
-  shard_expiry_.assign(1, kNoExpiry);
 }
 
 void DhtNetwork::RingInsert(uint64_t node_id) {
@@ -38,8 +36,7 @@ Status DhtNetwork::AddNode(uint64_t node_id) {
   if (!inserted) {
     return Status::InvalidArgument("node id already present");
   }
-  it->second.BindExpiryWatermark(
-      &shard_expiry_[static_cast<size_t>(shard_plan_.ShardOf(node_id))]);
+  it->second.BindExpiryWatermark(&expiry_watermark_);
   RingInsert(node_id);
   OnMembershipChange();
   if (ring_.size() > 1) {
@@ -58,27 +55,12 @@ size_t DhtNetwork::BulkAddNodes(std::vector<uint64_t> ids) {
   for (uint64_t id : ids) {
     // Ascending inserts with an end() hint: amortized O(1) per node.
     auto it = nodes_.try_emplace(nodes_.end(), id);
-    it->second.BindExpiryWatermark(
-        &shard_expiry_[static_cast<size_t>(shard_plan_.ShardOf(id))]);
+    it->second.BindExpiryWatermark(&expiry_watermark_);
   }
   ring_ = std::move(ids);
   loads_.assign(ring_.size(), NodeLoad{});
   OnMembershipChange();
   return ring_.size();
-}
-
-void DhtNetwork::SetShardPlan(int shards) {
-  shard_plan_.shards = shards < 1 ? 1 : shards;
-  shard_plan_.id_bits = space_.bits();
-  shard_expiry_.assign(static_cast<size_t>(shard_plan_.shards), kNoExpiry);
-  for (auto& [id, store] : nodes_) {
-    const size_t s = static_cast<size_t>(shard_plan_.ShardOf(id));
-    store.BindExpiryWatermark(&shard_expiry_[s]);
-    // MinExpiry is a stale-low bound, which is exactly what the
-    // watermark needs to stay.
-    shard_expiry_[s] = std::min(shard_expiry_[s], store.MinExpiry());
-  }
-  PrepareShardedRouting();
 }
 
 StatusOr<uint64_t> DhtNetwork::AddNodeFromName(std::string_view name) {
@@ -402,26 +384,15 @@ void DhtNetwork::ResetLoads() {
 
 void DhtNetwork::AdvanceClock(uint64_t ticks) {
   now_ += ticks;
-  for (int s = 0; s < shard_plan_.shards; ++s) {
-    if (shard_expiry_[static_cast<size_t>(s)] > now_) continue;
-    ExpireShard(s);  // something in this slice can be due
-  }
-}
-
-void DhtNetwork::ExpireShard(int shard) {
+  if (expiry_watermark_ > now_) return;  // nothing anywhere can be due
   uint64_t next = kNoExpiry;
-  auto it = nodes_.lower_bound(shard_plan_.LowerBound(shard));
-  const auto end = shard + 1 == shard_plan_.shards
-                       ? nodes_.end()
-                       : nodes_.lower_bound(shard_plan_.LowerBound(shard + 1));
-  for (; it != end; ++it) {
-    NodeStore& store = it->second;
+  for (auto& [id, store] : nodes_) {
     // MinExpiry is a stale-low bound: a false positive costs one
     // ExpireUntil call that pops only stale heap entries.
     if (store.MinExpiry() <= now_) store.ExpireUntil(now_);
     next = std::min(next, store.MinExpiry());
   }
-  shard_expiry_[static_cast<size_t>(shard)] = next;
+  expiry_watermark_ = next;
 }
 
 size_t DhtNetwork::TotalStorageBytes() const {
@@ -467,25 +438,8 @@ Status DhtNetwork::AuditFull() const {
     ++idx;
   }
 
-  // Shard plan sanity: one watermark slot per slice, sized to the space.
-  if (shard_plan_.shards < 1 ||
-      shard_expiry_.size() != static_cast<size_t>(shard_plan_.shards)) {
-    std::ostringstream os;
-    os << "shard plan declares " << shard_plan_.shards
-       << " slices but there are " << shard_expiry_.size()
-       << " expiry watermarks";
-    return fail(os.str());
-  }
-  if (shard_plan_.id_bits != space_.bits()) {
-    std::ostringstream os;
-    os << "shard plan partitions a " << shard_plan_.id_bits
-       << "-bit space but the overlay uses " << space_.bits() << " bits";
-    return fail(os.str());
-  }
-
-  // Per-store state, per-shard watermark binding, and the true earliest
-  // expiry of each slice.
-  std::vector<uint64_t> true_earliest(shard_expiry_.size(), kNoExpiry);
+  // Per-store state, watermark binding, and the true earliest expiry.
+  uint64_t true_earliest = kNoExpiry;
   for (const auto& [id, store] : nodes_) {
     Status s = store.AuditFull(now_);
     if (!s.ok()) {
@@ -493,32 +447,27 @@ Status DhtNetwork::AuditFull() const {
       os << "store at node " << id << ": " << s.message();
       return fail(os.str());
     }
-    const size_t shard = static_cast<size_t>(shard_plan_.ShardOf(id));
-    if (store.bound_watermark() != &shard_expiry_[shard]) {
+    if (store.bound_watermark() != &expiry_watermark_) {
       std::ostringstream os;
       os << "store at node " << id
-         << " is not bound to its owning shard's expiry watermark (shard "
-         << shard << ")";
+         << " is not bound to the network's expiry watermark";
       return fail(os.str());
     }
-    store.ForEach(now_, [&true_earliest, shard](const StoreKey&,
-                                                const StoreRecord& rec) {
+    store.ForEach(now_, [&true_earliest](const StoreKey&,
+                                         const StoreRecord& rec) {
       if (rec.expires_at != kNoExpiry) {
-        true_earliest[shard] = std::min(true_earliest[shard], rec.expires_at);
+        true_earliest = std::min(true_earliest, rec.expires_at);
       }
     });
   }
-  // Each watermark is a lower bound: AdvanceClock may only skip a slice
-  // when nothing in it can be due, so overshooting the slice's true
+  // The watermark is a lower bound: AdvanceClock may only skip the
+  // expiry sweep when nothing can be due, so overshooting the true
   // earliest expiry would silently leave dead records alive.
-  for (size_t shard = 0; shard < shard_expiry_.size(); ++shard) {
-    if (shard_expiry_[shard] > true_earliest[shard]) {
-      std::ostringstream os;
-      os << "shard " << shard << " expiry watermark " << shard_expiry_[shard]
-         << " overshoots the slice's true earliest live expiry "
-         << true_earliest[shard];
-      return fail(os.str());
-    }
+  if (expiry_watermark_ > true_earliest) {
+    std::ostringstream os;
+    os << "expiry watermark " << expiry_watermark_
+       << " overshoots the true earliest live expiry " << true_earliest;
+    return fail(os.str());
   }
 
   return AuditDerivedState();

@@ -20,12 +20,7 @@
 // (finger tables, bucket caches) lazily behind const paths, so ad-hoc
 // concurrent use — even read-only — races on those caches. The
 // multi-trial runner (common/thread_pool.h) therefore constructs one
-// network per trial and statically rejects results that leak one. The
-// one sanctioned concurrent regime is the sharded engine (dht/shard.h):
-// it installs a ShardPlan, has PrepareShardedRouting() pre-size the
-// lazy caches so each cache row is touched only by the worker owning
-// that node's ID slice, freezes membership for the duration of a batch,
-// and separates shards with tick barriers.
+// network per trial and statically rejects results that leak one.
 //
 // Membership is mirrored into a flat sorted vector of live IDs (the
 // "ring index") so every ring query — successor, predecessor, range
@@ -79,34 +74,6 @@ struct LookupResult {
   int hops = 0;       // inter-node hops taken (0 if origin is responsible)
 };
 
-/// Contiguous equal partition of the ID space into `shards` slices:
-/// shard s owns IDs in [LowerBound(s), LowerBound(s+1)). Ownership is a
-/// single widening multiply, so hot paths re-derive it instead of
-/// storing a per-node shard id.
-struct ShardPlan {
-  int shards = 1;
-  int id_bits = 64;
-
-  int ShardOf(uint64_t id) const {
-    return static_cast<int>(
-        (static_cast<unsigned __int128>(id) *
-         static_cast<unsigned __int128>(static_cast<unsigned>(shards))) >>
-        id_bits);
-  }
-
-  /// Smallest ID owned by `shard`. Valid for 0 <= shard < shards (the
-  /// top slice's upper bound is the ID-space size, which overflows
-  /// uint64_t at 64 bits — iterate to the container end instead).
-  uint64_t LowerBound(int shard) const {
-    const unsigned __int128 numer =
-        (static_cast<unsigned __int128>(static_cast<unsigned>(shard))
-         << id_bits) +
-        static_cast<unsigned>(shards) - 1;
-    return static_cast<uint64_t>(numer /
-                                 static_cast<unsigned>(shards));
-  }
-};
-
 /// The simulated overlay network. Owns all node state.
 class DhtNetwork : private ThreadHostile {
  public:
@@ -154,18 +121,6 @@ class DhtNetwork : private ThreadHostile {
   /// records exist, so no migration can occur). Returns the number of
   /// nodes added; duplicates within `ids` collapse.
   size_t BulkAddNodes(std::vector<uint64_t> ids);
-
-  // ---- Sharding -----------------------------------------------------------
-
-  /// Repartitions the expiry watermarks into `shards` contiguous
-  /// ID-space slices, rebinds every store to its owning slice's
-  /// watermark, and lets the geometry pre-size its routing caches
-  /// (PrepareShardedRouting). Safe to call at any point; the sharded
-  /// engine (dht/shard.h) calls it at construction and again after
-  /// membership changes.
-  void SetShardPlan(int shards);
-
-  const ShardPlan& shard_plan() const { return shard_plan_; }
 
   // ---- Geometry (no message cost) ----------------------------------------
 
@@ -358,18 +313,6 @@ class DhtNetwork : private ThreadHostile {
   /// the cache. The default has no derived state and returns OK.
   [[nodiscard]] virtual Status AuditDerivedState() const { return Status::OK(); }
 
-  /// Geometry hook of SetShardPlan(): pre-sizes lazily grown routing
-  /// caches so that, during a sharded batch, each worker only writes
-  /// cache rows of nodes it owns and no shared container ever
-  /// reallocates. The default has no caches.
-  virtual void PrepareShardedRouting() {}
-
-  /// Expires due records in shard `shard`'s slice of the membership map
-  /// and recomputes that slice's watermark. Touches only the slice's
-  /// stores and watermark slot, so the sharded engine runs one call per
-  /// worker concurrently.
-  void ExpireShard(int shard);
-
   /// Sorted vector of all live node IDs (the ring index).
   const std::vector<uint64_t>& ring() const { return ring_; }
 
@@ -421,15 +364,9 @@ class DhtNetwork : private ThreadHostile {
                                   // per-hop counter update in Lookup
                                   // never chases a map node
 
-  // Expiry watermarks, one per shard slice (a single slot when no plan
-  // is installed): a lower bound on the earliest finite expiry over the
-  // slice's stores. Stores are bound to their slice's slot, so the
-  // vector is only ever resized by SetShardPlan (which rebinds).
-  ShardPlan shard_plan_;
-  std::vector<uint64_t> shard_expiry_;
-
-  friend class ShardedNetwork;  // dht/shard.h: drives batches over the
-                                // internals between tick barriers
+  // Expiry watermark: a lower bound on the earliest finite expiry over
+  // every store. Each store is bound to it and lowers it on insert.
+  uint64_t expiry_watermark_ = kNoExpiry;
 };
 
 }  // namespace dhs

@@ -1,6 +1,6 @@
 // Pluggable message transport for the DHS protocol.
 //
-// The DHS client/front-door data plane speaks encoded wire frames
+// The DHS client's data plane speaks encoded wire frames
 // (wire.h) through this interface instead of calling the simulator
 // directly, so one code path serves both worlds:
 //

@@ -1,6 +1,6 @@
 // Metrics for the DHS serving layer (dhs/serving.h).
 //
-// The serving layer batches client requests into engine waves; these
+// The serving layer batches client requests into probe waves; these
 // series expose the batching economics — how many requests arrived,
 // how many waves actually hit the network, how many requests rode a
 // coalesced wave for free — plus the frontier-cache invalidation
@@ -34,7 +34,7 @@ class ServingMetrics {
   ServingMetrics() = default;
 
   /// Re-points the helper (the serving layer attaches metrics from its
-  /// backend's network, which may attach a registry after
+  /// client's network, which may attach a registry after
   /// construction, mirroring DhtNetwork::AttachMetrics).
   void Attach(MetricsRegistry* registry, std::string geometry,
               std::string estimator) {
@@ -69,7 +69,7 @@ class ServingMetrics {
   void RecordSignalInvalidation() {
     if (Ready()) invalidations_signal_->Increment();
   }
-  /// The probe budget the tuner is currently serving with (0 = backend
+  /// The probe budget the tuner is currently serving with (0 = client
   /// default, tuner inactive).
   void RecordLim(int lim) {
     if (Ready()) lim_->Set(static_cast<double>(lim));

@@ -66,6 +66,13 @@ TEST_F(CheckTest, FailureCarriesExpressionAndStreamedContext) {
   });
   EXPECT_NE(msg.find("CHECK failed: x == 42"), std::string::npos) << msg;
   EXPECT_NE(msg.find("x was 41"), std::string::npos) << msg;
+  EXPECT_EQ(msg, "CHECK failed: x == 42: x was 41");
+  // Without streamed context the message ends at the expression.
+  EXPECT_EQ(FailureMessage([] {
+              const int y = 1;
+              CHECK(y == 2);
+            }),
+            "CHECK failed: y == 2");
 }
 
 TEST_F(CheckTest, BinaryFailureRendersBothOperands) {
@@ -77,6 +84,7 @@ TEST_F(CheckTest, BinaryFailureRendersBothOperands) {
   EXPECT_NE(msg.find("CHECK_EQ failed"), std::string::npos) << msg;
   EXPECT_NE(msg.find("(3 vs 7)"), std::string::npos) << msg;
   EXPECT_NE(msg.find("sizes diverged"), std::string::npos) << msg;
+  EXPECT_EQ(msg, "CHECK_EQ failed: a == b (3 vs 7): sizes diverged");
 }
 
 TEST_F(CheckTest, CheckOkRendersStatusText) {
@@ -85,6 +93,9 @@ TEST_F(CheckTest, CheckOkRendersStatusText) {
   EXPECT_NE(msg.find("CHECK_OK failed"), std::string::npos) << msg;
   EXPECT_NE(msg.find("no such record"), std::string::npos) << msg;
   EXPECT_NE(msg.find("during audit"), std::string::npos) << msg;
+  EXPECT_EQ(msg,
+            "CHECK_OK failed: Status::NotFound(\"no such record\") "
+            "NotFound: no such record: during audit");
 }
 
 TEST_F(CheckTest, CheckOkAcceptsStatusOr) {

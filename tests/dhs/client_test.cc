@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/stats.h"
@@ -485,6 +487,63 @@ TEST_F(DhsClientTest, InsertReportsReplicationCost) {
   EXPECT_EQ(cost->failed_probes, 0);
   EXPECT_EQ(cost->bit_groups_failed, 0);
   EXPECT_EQ(cost->direct_probes, 2);  // primary write rides the lookup
+}
+
+TEST_F(DhsClientTest, InsertBatchWritesEveryRequestedReplica) {
+  DhsConfig config = Config(DhsEstimator::kSuperLogLog);
+  config.replication = 3;
+  auto client = DhsClient::Create(&net_, config);
+  ASSERT_TRUE(client.ok());
+  Rng rng(0x44);
+  std::vector<uint64_t> batch;
+  for (int i = 0; i < 32; ++i) batch.push_back(rng.Next());
+  auto cost = client->InsertBatch(net_.RandomNode(rng), 5, batch, rng);
+  ASSERT_TRUE(cost.ok());
+  EXPECT_GT(cost->replicas_requested, 0);
+  EXPECT_EQ(cost->replicas_written, cost->replicas_requested);
+  EXPECT_EQ(cost->bit_groups_failed, 0);
+}
+
+// Graceful joins re-home records without losing or duplicating any: the
+// stored bytes and an exhaustive count's observables are unchanged, and
+// every record's primary copy sits at its key's new responsible node.
+TEST_F(DhsClientTest, JoinMigrationKeepsStorageAndObservables) {
+  DhsConfig config = Config(DhsEstimator::kSuperLogLog);
+  config.replication = 2;
+  config.lim = 512;  // exhaustive walks: observables are store contents
+  config.max_lim = 512;
+  auto client = DhsClient::Create(&net_, config);
+  ASSERT_TRUE(client.ok());
+  Rng rng(0x316);
+  std::vector<uint64_t> batch;
+  for (int i = 0; i < 512; ++i) batch.push_back(rng.Next());
+  ASSERT_TRUE(client->InsertBatch(net_.RandomNode(rng), 3, batch, rng).ok());
+  auto before = client->Count(net_.RandomNode(rng), 3, rng);
+  ASSERT_TRUE(before.ok());
+  const size_t storage = net_.TotalStorageBytes();
+  ASSERT_GT(storage, 0u);
+
+  for (int i = 0; i < 16; ++i) ASSERT_TRUE(net_.AddNode(rng.Next()).ok());
+  EXPECT_TRUE(net_.AuditFull().ok());
+  EXPECT_EQ(net_.TotalStorageBytes(), storage);
+  auto after = client->Count(net_.RandomNode(rng), 3, rng);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(before->observables, after->observables);
+
+  std::set<std::tuple<uint64_t, uint64_t, std::string>> held;
+  for (uint64_t id : net_.NodeIds()) {
+    net_.StoreAt(id)->ForEach(
+        net_.now(), [&](const StoreKey& key, const StoreRecord& rec) {
+          held.emplace(id, rec.dht_key, key.ToBytes());
+        });
+  }
+  for (const auto& [holder, dht_key, key] : held) {
+    auto responsible = net_.ResponsibleNode(dht_key);
+    ASSERT_TRUE(responsible.ok());
+    EXPECT_EQ(held.count({responsible.value(), dht_key, key}), 1u)
+        << "record at node " << holder << " has no copy at its responsible "
+        << "node " << responsible.value();
+  }
 }
 
 TEST_F(DhsClientTest, InsertFailsCleanlyWhenEveryMessageDrops) {

@@ -1,5 +1,5 @@
 // Serving-layer suite (dhs/serving.h): the headline guarantee is that
-// every answer the serving layer produces — coalesced, pipelined,
+// every answer the serving layer produces — coalesced, batched,
 // frontier-cached, lim-tuned — is byte-identical to the unoptimized
 // path under fixed seeds. The tests pin that via wave-log replay
 // (serving world vs a twin plain world with identical seeds), plus the
@@ -24,9 +24,7 @@
 #include "common/random.h"
 #include "dht/chord.h"
 #include "dht/kademlia.h"
-#include "dht/shard.h"
 #include "dhs/client.h"
-#include "dhs/front_door.h"
 #include "dhs/lim.h"
 #include "dhs/maintainer.h"
 #include "hashing/hasher.h"
@@ -120,12 +118,7 @@ TEST(DhsServingConfigTest, ValidatesTunerParameters) {
 }
 
 TEST(DhsServingConfigTest, CreateRejectsNullBackends) {
-  EXPECT_FALSE(
-      DhsServing::Create(static_cast<DhsClient*>(nullptr), DhsServingConfig{})
-          .ok());
-  EXPECT_FALSE(DhsServing::Create(static_cast<DhsFrontDoor*>(nullptr),
-                                  DhsServingConfig{})
-                   .ok());
+  EXPECT_FALSE(DhsServing::Create(nullptr, DhsServingConfig{}).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -348,112 +341,57 @@ TEST_F(ServingClientTest, MixedFlushRunsInsertsBeforeCounts) {
   EXPECT_GT(counted->estimates[0], 0.0) << "count ran before the insert";
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined inserts through the sharded front door: one engine batch,
-// byte-identical to sequential per-batch execution.
-
-class ServingFrontDoorTest : public ::testing::Test {
- protected:
-  static constexpr int kNodes = 64;
-
-  DhsConfig Config() {
-    DhsConfig config;
-    config.k = 16;
-    config.m = 16;
-    config.lim = 3;
-    config.replication = 2;
-    config.ttl_ticks = 4096;
-    return config;
-  }
-
-  struct World {
-    World(const DhsConfig& config, int shards) : net(FastOverlay()) {
-      Rng rng(0x5eed);
-      std::vector<uint64_t> ids;
-      for (int i = 0; i < kNodes; ++i) ids.push_back(rng.Next());
-      CHECK(net.BulkAddNodes(std::move(ids)) == static_cast<size_t>(kNodes));
-      engine = std::make_unique<ShardedNetwork>(&net, shards);
-      auto created = DhsFrontDoor::Create(engine.get(), config);
-      CHECK_OK(created);
-      door = std::make_unique<DhsFrontDoor>(std::move(created.value()));
-    }
-    ChordNetwork net;
-    std::unique_ptr<ShardedNetwork> engine;
-    std::unique_ptr<DhsFrontDoor> door;
-  };
-
-  /// Five insert batches over three metrics, as submitted to serving
-  /// (pipelined) or executed back to back (plain).
-  static std::vector<std::pair<uint64_t, std::vector<uint64_t>>> Batches() {
-    std::vector<std::pair<uint64_t, std::vector<uint64_t>>> batches;
-    MixHasher hasher(71);
-    uint64_t next = 0;
-    for (uint64_t metric : {5u, 9u, 5u, 2u, 9u}) {
-      std::vector<uint64_t> items;
-      for (int i = 0; i < 120; ++i) items.push_back(hasher.HashU64(next++));
-      batches.emplace_back(metric, std::move(items));
-    }
-    return batches;
-  }
-};
-
-TEST_F(ServingFrontDoorTest, PipelinedInsertsMatchSequentialExecution) {
-  for (int shards : {1, 4}) {
-    World serving_world(Config(), shards);
-    World plain_world(Config(), shards);
-    auto serving =
-        DhsServing::Create(serving_world.door.get(), DhsServingConfig{});
-    ASSERT_TRUE(serving.ok());
-
-    const auto batches = Batches();
-    Rng pick(3);
-    std::vector<uint64_t> origins;
-    for (size_t i = 0; i < batches.size(); ++i) {
-      origins.push_back(serving_world.net.RandomNode(pick));
-    }
-
-    std::vector<uint64_t> tickets;
-    for (size_t i = 0; i < batches.size(); ++i) {
-      tickets.push_back(serving->SubmitInsertBatch(origins[i],
-                                                   batches[i].first,
-                                                   batches[i].second));
-    }
-    Rng serve_rng(44);
-    ASSERT_TRUE(serving->Flush(serve_rng).ok());
-    EXPECT_EQ(serving->stats().insert_waves, 1u)
-        << "pipelining must merge all batches into one engine wave";
-
-    // Sequential twin: same batches, same order, same seed.
-    Rng plain_rng(44);
-    for (size_t i = 0; i < batches.size(); ++i) {
-      auto cost = plain_world.door->InsertBatch(origins[i], batches[i].first,
-                                                batches[i].second, plain_rng);
-      ASSERT_TRUE(cost.ok());
-      auto served = serving->TakeInsert(tickets[i]);
-      ASSERT_TRUE(served.ok());
-      ExpectSameCost(served.value(), cost.value(),
-                     "batch " + std::to_string(i) + " shards " +
-                         std::to_string(shards));
-    }
-    EXPECT_EQ(WorldDigest(serving_world.net), WorldDigest(plain_world.net))
-        << "shards " << shards;
-  }
-}
-
-TEST_F(ServingFrontDoorTest, PipeliningOffExecutesBatchesSequentially) {
-  World world(Config(), 2);
-  DhsServingConfig config;
-  config.pipeline_inserts = false;
-  auto serving = DhsServing::Create(world.door.get(), config);
+// A flush's insert batches run one client InsertBatch each, in
+// submission order: per-ticket cost reports, the wave log and the world
+// are byte-identical to the same batches issued back to back through a
+// plain client with the same seed.
+TEST_F(ServingClientTest, InsertBatchesMatchBackToBackClientInserts) {
+  World serving_world(Config());
+  World plain_world(Config());
+  auto serving = DhsServing::Create(serving_world.client.get(),
+                                    DhsServingConfig{});
   ASSERT_TRUE(serving.ok());
-  const auto batches = Batches();
-  Rng pick(3);
-  for (const auto& [metric, items] : batches) {
-    serving->SubmitInsertBatch(world.net.RandomNode(pick), metric, items);
+
+  // Five batches over three metrics, two of them repeated.
+  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> batches;
+  MixHasher hasher(71);
+  uint64_t next = 0;
+  for (uint64_t metric : {5u, 9u, 5u, 2u, 9u}) {
+    std::vector<uint64_t> items;
+    for (int i = 0; i < 120; ++i) items.push_back(hasher.HashU64(next++));
+    batches.emplace_back(metric, std::move(items));
   }
-  Rng rng(44);
-  ASSERT_TRUE(serving->Flush(rng).ok());
+  Rng pick(3);
+  std::vector<uint64_t> origins;
+  std::vector<uint64_t> tickets;
+  for (const auto& [metric, items] : batches) {
+    origins.push_back(serving_world.net.RandomNode(pick));
+    tickets.push_back(
+        serving->SubmitInsertBatch(origins.back(), metric, items));
+  }
+  Rng serve_rng(44);
+  ASSERT_TRUE(serving->Flush(serve_rng).ok());
   EXPECT_EQ(serving->stats().insert_waves, batches.size());
+  ASSERT_EQ(serving->wave_log().size(), batches.size());
+
+  Rng plain_rng(44);
+  for (size_t i = 0; i < batches.size(); ++i) {
+    const ServingWave& wave = serving->wave_log()[i];
+    EXPECT_EQ(wave.kind, ServingWave::kInsertWave);
+    EXPECT_EQ(wave.origin, origins[i]);
+    EXPECT_EQ(wave.metric_id, batches[i].first);
+    EXPECT_EQ(wave.hashes, batches[i].second);
+    auto cost = plain_world.client->InsertBatch(origins[i], batches[i].first,
+                                                batches[i].second, plain_rng);
+    ASSERT_TRUE(cost.ok());
+    auto served = serving->TakeInsert(tickets[i]);
+    ASSERT_TRUE(served.ok());
+    EXPECT_GT(served->replicas_written, 0);
+    ExpectSameCost(served.value(), cost.value(),
+                   "batch " + std::to_string(i));
+  }
+  EXPECT_FALSE(serving->TakeInsert(tickets[0]).ok());
+  EXPECT_EQ(WorldDigest(serving_world.net), WorldDigest(plain_world.net));
 }
 
 // ---------------------------------------------------------------------------
@@ -659,40 +597,6 @@ TEST_F(FrontierInvalidationTest, FaultInvalidationIsOptional) {
     EXPECT_TRUE(client->HasFrontier(kMetric));
   }
   ASSERT_TRUE(exercised);
-}
-
-// The sharded front door honours the same cache semantics: a repeat
-// count starts at the cached frontier, inserts through the door
-// invalidate, and the serving signal reaches the door's cache.
-TEST_F(FrontierInvalidationTest, FrontDoorFrontierServedAndInvalidated) {
-  ShardedNetwork engine(&net_, 2);
-  auto door = DhsFrontDoor::Create(&engine, Config());
-  ASSERT_TRUE(door.ok());
-  auto serving = DhsServing::Create(&door.value(), DhsServingConfig{});
-  ASSERT_TRUE(serving.ok());
-
-  Rng rng(91);
-  SeedAndPrime(*serving, rng);
-  ASSERT_TRUE(door->HasFrontier(kMetric));
-
-  // The cached repeat count returns the same observables.
-  auto repeat = serving->Count(net_.RandomNode(rng), kMetric, rng);
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(repeat->observables[0], kLowBit);
-
-  // Out-of-band growth through a second front door + signal.
-  ShardedNetwork other_engine(&net_, 2);
-  auto other = DhsFrontDoor::Create(&other_engine, Config());
-  ASSERT_TRUE(other.ok());
-  ASSERT_TRUE(other
-                  ->InsertBatch(net_.RandomNode(rng), kMetric,
-                                {CraftedItem(20, 0, kHighBit)}, rng)
-                  .ok());
-  serving->InvalidateMetric(kMetric);
-  EXPECT_FALSE(door->HasFrontier(kMetric));
-  auto fresh = serving->Count(net_.RandomNode(rng), kMetric, rng);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(fresh->observables[0], kHighBit);
 }
 
 // frontier_max_entries bounds the cache; the lowest metric id is

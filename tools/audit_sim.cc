@@ -56,28 +56,6 @@
 // the offending step and seed in the CHECK message (the failure
 // handler is an atomic slot, so concurrent failures are race-free).
 //
-// Sharded mode (--shards=K > 1): every DHS operation, membership
-// change and clock tick runs through the sharded execution engine
-// (ShardedNetwork + DhsFrontDoor, K ID-space shards on worker
-// threads) instead of the sequential client, and every differential
-// check above then validates the sharded path — the same reference
-// model, store scans, cost/stats books and trace reconciliation, with
-// zero tolerance. Incompatible with --crash (the engine freezes
-// membership during a batch).
-//
-// Interleaving mode (--interleave=N, defaulting --shards to 4): the
-// adversarial schedule explorer. One 1-shard engine run pins the
-// oracle world digest (clock, stats, loads, every store record), then
-// N runs of the K-shard engine execute under a ScheduleController
-// that serializes every ShardPool hand-off and picks the next task
-// itself — PCT random-priority schedules by default, exhaustive
-// depth-first enumeration of the schedule tree with
-// --interleave-mode=exhaustive — and each schedule must reproduce the
-// oracle digest byte-for-byte. This turns PR 6's "byte-identical at
-// any shard count" claim into a property checked across many
-// schedules instead of whichever one the OS produced. Composes with
-// --drop/--timeout (not --crash).
-//
 // Serving mode (--serving): the differential leg for the serving layer
 // (dhs/serving.h). Two identically seeded worlds run the same
 // randomized schedule of insert/count submissions, flushes, clock
@@ -93,9 +71,7 @@
 //
 // Usage: audit_sim [--geometry=chord|kademlia|both] [--steps=10000]
 //                  [--seed=1] [--estimator=sll|pcsa|hll]
-//                  [--shards=1] [--schedules=1] [--jobs=0 (hardware)]
-//                  [--interleave=N] [--interleave-mode=pct|exhaustive]
-//                  [--serving]
+//                  [--schedules=1] [--jobs=0 (hardware)] [--serving]
 //                  [--drop=P] [--timeout=P] [--crash=P]
 //                  [--trace-out=PATH] [--metrics-out=PATH]
 //
@@ -119,15 +95,12 @@
 
 #include "common/bit_util.h"
 #include "common/check.h"
-#include "common/schedule.h"
 #include "common/thread_pool.h"
 #include "dhs/client.h"
-#include "dhs/front_door.h"
 #include "dhs/serving.h"
 #include "dht/chord.h"
 #include "dht/fault.h"
 #include "dht/kademlia.h"
-#include "dht/shard.h"
 #include "hashing/hasher.h"
 #include "sketch/estimator.h"
 #include "sketch/hyperloglog.h"
@@ -312,31 +285,10 @@ struct SimOptions {
   DhsEstimator estimator = DhsEstimator::kSuperLogLog;
   int schedules = 1;  // independently seeded runs (seed, seed+1, ...)
   int jobs = 0;       // worker threads; 0 = hardware concurrency
-  /// > 1: run every DHS operation and membership change through the
-  /// sharded execution engine (ShardedNetwork + DhsFrontDoor) instead
-  /// of the sequential client, with K ID-space shards. Every
-  /// differential check then validates the sharded path: membership,
-  /// store contents, global-scan observables, cost/stats/trace
-  /// reconciliation. Incompatible with --crash (the engine freezes
-  /// membership during a batch and rejects crash injection).
-  int shards = 1;
   FaultConfig faults;  // probabilities only; seed derived per schedule
   std::string trace_out;    // per-world Chrome trace JSON (empty = off)
   std::string metrics_out;  // per-world metrics JSON (empty = off)
   bool multi_world = false;  // several worlds share the output paths
-  /// > 0: adversarial schedule exploration. Runs the scenario once on
-  /// the 1-shard engine oracle, then up to N controlled interleavings
-  /// of the K-shard engine (PCT random priorities, or exhaustive
-  /// enumeration with --interleave-mode=exhaustive) and requires every
-  /// schedule to reproduce the oracle's world digest byte-for-byte.
-  int interleave = 0;
-  bool interleave_exhaustive = false;
-  /// Route ops through the sharded engine even at shards == 1 (the
-  /// inline-pool oracle the interleaved runs are compared against; the
-  /// sequential client differs in probe accounting by contract).
-  bool force_engine = false;
-  /// Installed on the engine's pool right after Bootstrap (not owned).
-  ScheduleController* schedule_controller = nullptr;
 };
 
 class DifferentialSim {
@@ -385,52 +337,14 @@ class DifferentialSim {
     RunFullAudit();
     CheckTraceReconciliation();
     WriteObsOutputs();
-    char shard_tag[24] = "";
-    if (options_.shards > 1) {
-      std::snprintf(shard_tag, sizeof(shard_tag), "/%d-shard",
-                    options_.shards);
-    }
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "audit_sim: %s/%s%s: seed %" PRIu64 ": %d steps, %" PRIu64
+                  "audit_sim: %s/%s: seed %" PRIu64 ": %d steps, %" PRIu64
                   " ops, 0 divergences\n",
                   net_->GeometryName(),
-                  DhsEstimatorName(options_.estimator), shard_tag,
-                  options_.seed, options_.steps, ops_);
+                  DhsEstimatorName(options_.estimator), options_.seed,
+                  options_.steps, ops_);
     return line;
-  }
-
-  /// Serializes every world observable — clock, message/fault stats,
-  /// per-node load counters, every live store record — into one string.
-  /// Two runs of the same scenario must produce identical bytes for
-  /// the engine's determinism contract to hold; the interleave driver
-  /// compares controlled-schedule runs against the 1-shard oracle with
-  /// this digest. Call after Run().
-  std::string WorldDigest() const {
-    std::ostringstream os;
-    os << "now " << net_->now() << " stats " << net_->stats().messages
-       << ' ' << net_->stats().hops << ' ' << net_->stats().bytes
-       << " storage " << net_->TotalStorageBytes() << '\n';
-    const FaultStats& fs = net_->fault_plan().stats();
-    os << "faults " << fs.drops << ' ' << fs.timeouts << ' ' << fs.crashes
-       << '\n';
-    for (const auto& [id, load] : net_->Loads()) {
-      os << "load " << id << ' ' << load.routed << ' ' << load.served
-         << ' ' << load.stores << ' ' << load.probes << '\n';
-    }
-    for (uint64_t id : net_->NodeIds()) {
-      net_->StoreAt(id)->ForEach(
-          net_->now(), [&](const StoreKey& key, const StoreRecord& rec) {
-            if (key.is_dhs()) {
-              os << "dhs " << id << ' ' << key.metric_id() << ' '
-                 << key.bit() << ' ' << key.vector_id();
-            } else {
-              os << "raw " << id << ' ' << key.raw() << ' ' << rec.value;
-            }
-            os << ' ' << rec.expires_at << '\n';
-          });
-    }
-    return os.str();
   }
 
  private:
@@ -473,18 +387,6 @@ class DifferentialSim {
     auto client = DhsClient::Create(net_.get(), config);
     CHECK_OK(client) << "bootstrap client";
     client_ = std::make_unique<DhsClient>(std::move(client.value()));
-
-    if (options_.shards > 1 || options_.force_engine) {
-      CHECK(options_.faults.crash_probability == 0.0)
-          << "--shards is incompatible with --crash: the sharded engine "
-          << "freezes membership during a batch and rejects crash faults";
-      engine_ =
-          std::make_unique<ShardedNetwork>(net_.get(), options_.shards);
-      engine_->SetScheduleController(options_.schedule_controller);
-      auto front = DhsFrontDoor::Create(engine_.get(), config);
-      CHECK_OK(front) << "bootstrap front door";
-      front_ = std::make_unique<DhsFrontDoor>(std::move(front.value()));
-    }
 
     if (options_.faults.Any()) {
       fault_cfg_ = options_.faults;
@@ -571,7 +473,7 @@ class DifferentialSim {
   void DoJoin() {
     if (ref_.NumNodes() >= kMaxNodes) return;
     const uint64_t id = rng_.Next();
-    const Status s = engine_ ? engine_->JoinNode(id) : net_->AddNode(id);
+    const Status s = net_->AddNode(id);
     if (ref_.members().count(id) > 0) {
       CHECK(s.IsInvalidArgument())
           << "step " << step_ << ": duplicate join not rejected";
@@ -586,16 +488,13 @@ class DifferentialSim {
     if (ref_.NumNodes() <= kMinNodes) return;
     const uint64_t victim = ref_.RandomMember(rng_);
     if (rng_.UniformU64(2) == 0) {
-      CHECK_OK(engine_ ? engine_->LeaveNode(victim)
-                       : net_->RemoveNode(victim))
-          << "step " << step_ << ": leave";
+      CHECK_OK(net_->RemoveNode(victim)) << "step " << step_ << ": leave";
       ref_.Leave(victim);
     } else {
       // Reference drops the victim's records *before* forgetting it
       // (responsibility is evaluated in the pre-failure membership).
       ref_.Fail(victim);
-      CHECK_OK(engine_ ? engine_->CrashNode(victim) : net_->FailNode(victim))
-          << "step " << step_ << ": fail";
+      CHECK_OK(net_->FailNode(victim)) << "step " << step_ << ": fail";
     }
     ++ops_;
   }
@@ -690,11 +589,7 @@ class DifferentialSim {
 
   void DoTick() {
     const uint64_t ticks = 1 + rng_.UniformU64(8);
-    if (engine_ != nullptr) {
-      engine_->AdvanceClock(ticks);  // parallel per-shard expiry
-    } else {
-      net_->AdvanceClock(ticks);
-    }
+    net_->AdvanceClock(ticks);
     ref_.Tick(ticks);
     CHECK_EQ(net_->now(), ref_.now()) << "step " << step_ << ": clock skew";
     ++ops_;
@@ -740,8 +635,7 @@ class DifferentialSim {
     }
     const MessageStats before = net_->stats();
     const uint64_t origin = ref_.RandomMember(rng_);
-    auto inserted = front_ ? front_->InsertBatch(origin, metric, batch, rng_)
-                           : client_->InsertBatch(origin, metric, batch, rng_);
+    auto inserted = client_->InsertBatch(origin, metric, batch, rng_);
     ReconcileCrashes();
     if (!inserted.ok()) {
       // Only a fault-injected transient failure may surface, and only
@@ -785,8 +679,7 @@ class DifferentialSim {
     const MessageStats before = net_->stats();
     const uint64_t applied_before = net_->fault_plan().stats().Applied();
     const uint64_t origin = ref_.RandomMember(rng_);
-    auto result = front_ ? front_->Count(origin, metric, rng_)
-                         : client_->Count(origin, metric, rng_);
+    auto result = client_->Count(origin, metric, rng_);
     ReconcileCrashes();
     CHECK_OK(result)
         << "step " << step_
@@ -890,8 +783,7 @@ class DifferentialSim {
     for (uint64_t metric : {uint64_t{1}, uint64_t{2}}) {
       const MessageStats before = net_->stats();
       const uint64_t origin = ref_.RandomMember(rng_);
-      auto result = front_ ? front_->Count(origin, metric, rng_)
-                           : client_->Count(origin, metric, rng_);
+      auto result = client_->Count(origin, metric, rng_);
       CHECK_OK(result) << "step " << step_ << ": count metric " << metric;
       // The client's own cost report must agree with the network's
       // books: both sides account every probe, hop and byte.
@@ -1046,12 +938,6 @@ class DifferentialSim {
   MixHasher item_hasher_;
   MixHasher key_hasher_{0x7265636f72647321ull};
   std::unique_ptr<DhsClient> client_;
-  /// Sharded mode (--shards=K > 1): DHS and membership ops run through
-  /// the sharded engine; client_ stays alive for mapping/config and the
-  /// DHS-level audit (it reads network state only). front_ references
-  /// engine_, so it is declared after (destroyed first).
-  std::unique_ptr<ShardedNetwork> engine_;
-  std::unique_ptr<DhsFrontDoor> front_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<MetricsRegistry> metrics_;
   int step_ = 0;
@@ -1413,79 +1299,6 @@ class ServingDifferential {
   bool faults_configured_ = false;
 };
 
-/// Adversarial schedule exploration (--interleave=N): per geometry,
-/// one 1-shard engine-oracle run pins the expected world digest, then
-/// up to N controlled interleavings of the K-shard engine — every task
-/// hand-off decided by the controller instead of the OS — must
-/// reproduce it byte-for-byte. PCT mode draws a fresh random-priority
-/// schedule per run; exhaustive mode enumerates the schedule tree
-/// depth-first until it is exhausted or the budget runs out.
-int RunInterleave(const SimOptions& base,
-                  const std::vector<Geometry>& geometries) {
-  for (Geometry g : geometries) {
-    SimOptions oracle_opts = base;
-    oracle_opts.geometry = g;
-    oracle_opts.shards = 1;
-    oracle_opts.force_engine = true;
-    oracle_opts.schedule_controller = nullptr;
-    DifferentialSim oracle(oracle_opts);
-    std::fputs(oracle.Run().c_str(), stdout);
-    const std::string want = oracle.WorldDigest();
-
-    int explored = 0;
-    uint64_t controlled_steps = 0;
-    if (base.interleave_exhaustive) {
-      ExhaustiveScheduleController controller(base.shards);
-      bool more = true;
-      while (more && explored < base.interleave) {
-        SimOptions o = base;
-        o.geometry = g;
-        o.schedule_controller = &controller;
-        DifferentialSim sim(o);
-        sim.Run();
-        CHECK(sim.WorldDigest() == want)
-            << "exhaustive schedule " << explored << " ("
-            << (g == Geometry::kChord ? "chord" : "kademlia")
-            << ") diverged from the 1-shard oracle digest";
-        ++explored;
-        controlled_steps = controller.steps();
-        more = controller.NextSchedule();
-      }
-      std::printf("audit_sim: %s: %d exhaustive schedules%s, %" PRIu64
-                  " controlled hand-offs, all byte-identical to the "
-                  "oracle\n",
-                  g == Geometry::kChord ? "chord" : "kademlia", explored,
-                  more ? " (budget reached)" : " (tree exhausted)",
-                  controlled_steps);
-    } else {
-      for (; explored < base.interleave; ++explored) {
-        // Decorrelated per-schedule PCT seed, reproducible from --seed.
-        PctScheduleController controller(
-            base.shards,
-            SplitMix64(base.seed ^
-                       (static_cast<uint64_t>(explored) + 1) *
-                           0x9e3779b97f4a7c15ull));
-        SimOptions o = base;
-        o.geometry = g;
-        o.schedule_controller = &controller;
-        DifferentialSim sim(o);
-        sim.Run();
-        CHECK(sim.WorldDigest() == want)
-            << "PCT schedule " << explored << " ("
-            << (g == Geometry::kChord ? "chord" : "kademlia")
-            << ") diverged from the 1-shard oracle digest";
-        controlled_steps += controller.steps();
-      }
-      std::printf("audit_sim: %s: %d PCT schedules at %d shards, %" PRIu64
-                  " controlled hand-offs, all byte-identical to the "
-                  "oracle\n",
-                  g == Geometry::kChord ? "chord" : "kademlia", explored,
-                  base.shards, controlled_steps);
-    }
-  }
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   SimOptions options;
   bool both = true;  // default: both geometries, one report each
@@ -1510,14 +1323,6 @@ int Main(int argc, char** argv) {
       options.estimator = DhsEstimator::kPcsa;
     } else if (arg == "--estimator=hll") {
       options.estimator = DhsEstimator::kHyperLogLog;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards = std::atoi(arg.c_str() + 9);
-    } else if (arg.rfind("--interleave=", 0) == 0) {
-      options.interleave = std::atoi(arg.c_str() + 13);
-    } else if (arg == "--interleave-mode=pct") {
-      options.interleave_exhaustive = false;
-    } else if (arg == "--interleave-mode=exhaustive") {
-      options.interleave_exhaustive = true;
     } else if (arg == "--serving") {
       serving_mode = true;
     } else if (arg.rfind("--schedules=", 0) == 0) {
@@ -1539,15 +1344,13 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: audit_sim [--geometry=chord|kademlia|both] "
                    "[--steps=N] [--seed=S] [--estimator=sll|pcsa|hll] "
-                   "[--shards=K] [--schedules=K] [--jobs=J] "
-                   "[--interleave=N] [--interleave-mode=pct|exhaustive] "
+                   "[--schedules=K] [--jobs=J] "
                    "[--serving] [--drop=P] [--timeout=P] [--crash=P] "
                    "[--trace-out=PATH] [--metrics-out=PATH]\n");
       return 2;
     }
   }
   if (options.schedules < 1) options.schedules = 1;
-  if (options.shards < 1) options.shards = 1;
   CHECK_OK(options.faults.Validate()) << "fault probabilities";
 
   std::vector<Geometry> geometries;
@@ -1557,11 +1360,6 @@ int Main(int argc, char** argv) {
     geometries = {options.geometry};
   }
   options.multi_world = geometries.size() * static_cast<size_t>(options.schedules) > 1;
-
-  if (options.interleave > 0) {
-    if (options.shards < 2) options.shards = 4;  // controller needs workers
-    return RunInterleave(options, geometries);
-  }
 
   if (serving_mode) {
     CHECK(options.faults.crash_probability == 0.0)

@@ -2,8 +2,8 @@
 """Determinism / concurrency linter for the DHS simulator tree.
 
 The simulator's headline property is determinism: fixed-seed runs are
-byte-identical, across thread counts and shard counts, under fault
-injection and adversarial schedules. That property is easy to lose one
+byte-identical across thread counts and transports, and under fault
+injection. That property is easy to lose one
 innocuous line at a time — a raw std::thread here, a wall-clock read
 there — so this linter enforces the repo's concurrency discipline
 statically, in CI and as a ctest:
